@@ -10,20 +10,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
 
 import numpy as np
 
-from .equilibria import check_admissibility_regions, critical_zeta, nash_equilibria
-from .errors import (
-    AdvisorGameError,
-    EqualReturns,
-    InvalidParameter,
-    NumericalContractError,
-    UnsupportedN,
+from .equilibria import admissibility_thresholds, critical_zeta
+from .errors import AdvisorGameError, GridTooLarge, InvalidParameter
+from .oracle import (
+    GridSpec,
+    best_response_dynamics,
+    grid_max_welfare,
+    lipschitz_bound,
+    perturbation_check,
 )
-from .oracle import GridSpec, best_response_dynamics, grid_max_welfare, perturbation_check
-from .params import ModelParams, OpinionProfile
+from .params import ModelParams
 from .welfare import maximize_welfare
 
 PARAM_KEYS = ("d", "x", "w", "n", "alpha", "beta", "gamma", "zeta", "r_d", "r_s")
@@ -75,7 +74,7 @@ def build_params(values: dict) -> ModelParams:
     missing = [k for k in PARAM_KEYS if k not in values]
     if missing:
         raise ConfigError(f"missing parameter(s): {', '.join(missing)}")
-    if values["n"] != int(values["n"]):
+    if not float(values["n"]).is_integer():
         raise InvalidParameter("n", f"must be an integer, got {values['n']!r}")
     kwargs = dict(values)
     kwargs["n"] = int(values["n"])
@@ -95,7 +94,8 @@ def fmt(value) -> str:
 
 def run_single(p: ModelParams, value=None) -> dict:
     """One analysis record; ``value`` is the swept value column (if any)."""
-    eq = nash_equilibria(p)
+    report = maximize_welfare(p)
+    eq = report.equilibria
     record = {k: None for k in COLUMNS}
     record["value"] = value
     record["discriminant"] = eq.roots.discriminant
@@ -112,17 +112,11 @@ def run_single(p: ModelParams, value=None) -> dict:
         eq.star_region != eq.star_geometric or eq.dagger_region != eq.dagger_geometric
     ):
         flags.append("RegionGeometryDisagreement")
-    try:
-        _, _, thr = check_admissibility_regions(p)
+    if p.r_s != p.r_d:
+        thr = admissibility_thresholds(p)
         record["r_d_1"], record["r_d_2"] = thr.r_d_1, thr.r_d_2
-    except EqualReturns:
-        pass
     if p.n == 1 and p.x != p.d:
-        try:
-            record["zeta_bar"] = critical_zeta(p).zeta_bar
-        except UnsupportedN:  # pragma: no cover - guarded above
-            pass
-    report = maximize_welfare(p)
+        record["zeta_bar"] = critical_zeta(p).zeta_bar
     record["sw_max"] = report.sw_max
     record["sw_location"] = report.location
     record["pos"] = report.pos
@@ -219,8 +213,6 @@ def run_oracle_check(p: ModelParams, seed: int, resolution: float, stream) -> bo
     grid_point, grid_val = grid_max_welfare(p, GridSpec(resolution))
     analytic = maximize_welfare(p)
     gap = abs(analytic.sw_max - grid_val)
-    from .oracle import lipschitz_bound
-
     slack = resolution * lipschitz_bound(p)
     report("welfare grid agreement", gap <= slack, f"|gap| = {gap:.3g} <= {slack:.3g}")
 
@@ -265,7 +257,7 @@ def _collect_values(args) -> dict:
     for key in PARAM_KEYS:
         override = getattr(args, key)
         if override is not None:
-            values[key] = int(override) if key == "n" else override
+            values[key] = override
     return values
 
 
@@ -293,11 +285,11 @@ def main(argv=None) -> int:
                 if args.out:
                     stream.close()
             return 0 if ok else 2
-    except (ConfigError, InvalidParameter, FileNotFoundError) as exc:
+    except (ConfigError, InvalidParameter, GridTooLarge, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except NumericalContractError as exc:
-        print(f"numerical contract violation: {exc}", file=sys.stderr)
+    except AdvisorGameError as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     return 0
 

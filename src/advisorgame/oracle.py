@@ -19,7 +19,6 @@ from .model import (
     advisor_utility,
     customer_best_response,
     customer_utility,
-    total_utility,
 )
 from .params import EPS_DEN, HeterogeneousParams, ModelParams, OpinionProfile
 
@@ -249,8 +248,3 @@ def perturbation_check(
             if customer_utility(sl, c_dev, q.s) > base_i + improvement_tol:
                 return False
     return True
-
-
-def oracle_total_utility(params, q: OpinionProfile) -> float:
-    """Re-exported definitional welfare (sum of individual utilities)."""
-    return total_utility(params, q)

@@ -7,6 +7,7 @@ All types are immutable values. ``ModelParams`` is the homogeneous game
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +27,8 @@ def _check_unit(name, value):
 
 
 def _check_positive(name, value):
-    if not (value > 0.0):
-        raise InvalidParameter(name, f"must be strictly positive, got {value!r}")
+    if not (math.isfinite(value) and value > 0.0):
+        raise InvalidParameter(name, f"must be finite and strictly positive, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,9 @@
 
 Interior candidates come from a quartic in y = s - d (with the customer
 coordinate recovered from the stationarity system); boundary candidates
-come from the three symmetric faces c = d, s = 1 and c = s. For fixed s
+come from the three symmetric faces c = d, s = 1 and c = s, on each of
+which the welfare is a concave quadratic in one variable, solved in
+closed form as its vertex clamped to the face. For fixed s
 the welfare is separable and strictly concave in each c_i with identical
 coefficients, so the maximizer over the customers has all c_i equal or
 pinned to the same face; the symmetric reduction is therefore exact for
@@ -18,7 +20,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import (
-    DegenerateDenominator,
     DegenerateLeadingCoefficient,
     MissingEquilibrium,
     NumericalContractError,
@@ -29,11 +30,7 @@ from .equilibria import EquilibriumPair, nash_equilibria
 
 QUARTIC_RESIDUAL_TOL = 1e-8
 REAL_ROOT_IMAG_TOL = 1e-9
-FACE_SAMPLES = 10_000
-FACE_XTOL = 1e-10
 POS_TIE_TOL = 1e-12
-
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 class PosFlag(enum.Enum):
@@ -205,39 +202,6 @@ def boundary_membership(p: ModelParams, q: OpinionProfile, tol: float = 1e-12) -
     )
 
 
-def _golden_max(f, lo, hi, xtol=FACE_XTOL):
-    a, b = lo, hi
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > xtol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
-    xm = 0.5 * (a + b)
-    return xm, f(xm)
-
-
-def _maximize_face(f, lo, hi):
-    """Dense sampling plus golden-section refinement around the best sample."""
-    if hi <= lo:
-        return lo, f(lo)
-    xs = np.linspace(lo, hi, FACE_SAMPLES)
-    vals = np.array([f(x) for x in xs])
-    i = int(np.argmax(vals))
-    a = xs[max(i - 1, 0)]
-    b = xs[min(i + 1, len(xs) - 1)]
-    x_ref, v_ref = _golden_max(f, a, b)
-    if v_ref >= vals[i]:
-        return x_ref, v_ref
-    return xs[i], vals[i]
-
-
 def _stationary_customer(p: ModelParams, s: float) -> float:
     ratio = 0.0 if p.r_s == p.r_d else (p.r_s - p.r_d) / (s - p.d)
     gz = p.gamma + p.zeta
@@ -249,7 +213,9 @@ def maximize_welfare(p: ModelParams) -> WelfareReport:
 
     Interior candidates are the real quartic roots y in (0, 1 - d] with
     their reconstructed customer coordinate inside (d, s); the three
-    symmetric faces are each solved as one-dimensional problems.
+    symmetric faces are each solved in closed form: the welfare along a
+    face is a concave quadratic, maximized at its vertex clamped to the
+    face's interval.
     """
     analysis = classify_quartic(quartic_coefficients(p))
     gz = p.gamma + p.zeta
@@ -277,8 +243,8 @@ def maximize_welfare(p: ModelParams) -> WelfareReport:
             + p.r_d * p.n
         )
 
-    s_best, v = _maximize_face(f_cd, p.d, 1.0)
-    candidates.append((v, OpinionProfile.uniform(p.d, s_best, p.n), "face:c=d"))
+    s_best = min(max((p.alpha * p.x + gz * p.n * p.d) / (p.alpha + gz * p.n), p.d), 1.0)
+    candidates.append((f_cd(s_best), OpinionProfile.uniform(p.d, s_best, p.n), "face:c=d"))
 
     # Face s = 1 (skipped when the domain collapses to the corner d = 1).
     if 1.0 - p.d > EPS_DEN:
@@ -293,8 +259,8 @@ def maximize_welfare(p: ModelParams) -> WelfareReport:
                 + slope * p.n * (c - p.d)
             )
 
-        c_best, v = _maximize_face(f_s1, p.d, 1.0)
-        candidates.append((v, OpinionProfile.uniform(c_best, 1.0, p.n), "face:s=1"))
+        c_best = min(max(_stationary_customer(p, 1.0), p.d), 1.0)
+        candidates.append((f_s1(c_best), OpinionProfile.uniform(c_best, 1.0, p.n), "face:s=1"))
 
     # Face c = s: the interpolation term equals n (r_s - r_d) identically.
     def f_cs(s):
@@ -306,17 +272,14 @@ def maximize_welfare(p: ModelParams) -> WelfareReport:
         )
 
     lo = p.d if p.r_s == p.r_d else min(p.d + 1e-9, 1.0)
-    s_best, v = _maximize_face(f_cs, lo, 1.0)
-    candidates.append((v, OpinionProfile.uniform(s_best, s_best, p.n), "face:c=s"))
-
-    if not candidates:
-        raise DegenerateDenominator("every welfare candidate collapses onto s = d")
+    s_best = min(max((p.alpha * p.x + p.beta * p.n * p.w) / (p.alpha + p.beta * p.n), lo), 1.0)
+    candidates.append((f_cs(s_best), OpinionProfile.uniform(s_best, s_best, p.n), "face:c=s"))
 
     sw_max, argmax, location = max(candidates, key=lambda t: t[0])
 
     eq = nash_equilibria(p)
-    sw_at_star = _equilibrium_welfare(p, eq.p_star) if eq.star_admissible else None
-    sw_at_dagger = _equilibrium_welfare(p, eq.p_dagger) if eq.dagger_admissible else None
+    sw_at_star = social_welfare(p, eq.p_star) if eq.star_admissible else None
+    sw_at_dagger = social_welfare(p, eq.p_dagger) if eq.dagger_admissible else None
 
     flags = set()
     if sw_at_star is None and sw_at_dagger is None:
@@ -342,12 +305,6 @@ def maximize_welfare(p: ModelParams) -> WelfareReport:
         equilibria=eq,
         quartic=analysis,
     )
-
-
-def _equilibrium_welfare(p: ModelParams, q: Optional[OpinionProfile]) -> Optional[float]:
-    if q is None:
-        return None
-    return social_welfare(p, q)
 
 
 @dataclass(frozen=True)
@@ -382,5 +339,8 @@ def utilities_at_equilibria(p: ModelParams, eq: EquilibriumPair) -> EquilibriumU
 
 
 def price_of_stability(p: ModelParams) -> WelfareReport:
-    """Welfare report with the PoS ratio filled in (or flagged)."""
+    """Alias of :func:`maximize_welfare`, kept as public API.
+
+    The report it returns already carries the PoS ratio (or its flags).
+    """
     return maximize_welfare(p)

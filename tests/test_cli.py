@@ -88,6 +88,16 @@ class TestAnalyze:
         assert code == 1
         assert "gamma" in capsys.readouterr().err
 
+    def test_fractional_n_exit_code(self, capsys, config_path):
+        code = main(["analyze", "--config", config_path, "--n", "2.7"])
+        assert code == 1
+        assert "n:" in capsys.readouterr().err
+
+    def test_infinite_weight_exit_code(self, capsys, config_path):
+        code = main(["analyze", "--config", config_path, "--alpha", "inf"])
+        assert code == 1
+        assert "alpha" in capsys.readouterr().err
+
     def test_missing_config_exit_code(self, capsys):
         assert main(["analyze", "--config", "/nonexistent.cfg"]) == 1
 
@@ -219,3 +229,13 @@ class TestOracleCheck:
         out = capsys.readouterr().out
         assert "[PASS] welfare grid agreement" in out
         assert "[FAIL]" not in out
+
+    def test_grid_over_budget_exit_code(self, capsys, config_path):
+        # The finest resolution on the full [0, 1] axis exceeds the point
+        # budget; the check fails before the 2-D grid is allocated.
+        code = main(["oracle-check", "--config", config_path, "--d", "0",
+                     "--grid-resolution", "1e-4"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "budget" in captured.err
+        assert captured.out == ""

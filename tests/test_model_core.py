@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from advisorgame import (
     DegenerateDenominator,
+    HeterogeneousParams,
     InvalidParameter,
     ModelParams,
     OpinionProfile,
@@ -37,6 +38,18 @@ class TestParams:
     def test_rejects_out_of_range(self, fig1, field, value):
         with pytest.raises(InvalidParameter) as exc:
             fig1.replace(**{field: value})
+        assert exc.value.field == field
+
+    @pytest.mark.parametrize("field", ["alpha", "beta", "gamma", "zeta"])
+    def test_rejects_infinite_weight(self, fig1, field):
+        with pytest.raises(InvalidParameter) as exc:
+            fig1.replace(**{field: float("inf")})
+        assert exc.value.field == field
+        weights = dict(alpha=0.05, beta=0.1, gamma=0.2, zeta=10.0)
+        weights[field] = float("inf")
+        with pytest.raises(InvalidParameter) as exc:
+            HeterogeneousParams(x=0.4, w=0.5, n=1, r_s=0.2, d_i=(0.1,),
+                                r_d_i=(0.3,), **weights)
         assert exc.value.field == field
 
     def test_rejects_bad_n(self, fig1):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from advisorgame import (
+    EPS_DEN,
     GridSpec,
     MissingEquilibrium,
     OpinionProfile,
@@ -21,10 +22,46 @@ from advisorgame import (
     social_welfare,
     social_welfare_gradient,
     solve_quartic,
+    total_utility,
     utilities_at_equilibria,
 )
 
 from conftest import draw_params
+
+# Points where a face vertex is clamped to an end of its face, the corner
+# d = 1 and the equal-returns case, as overrides of the fig1 configuration.
+FACE_EDGE_CASES = [
+    dict(d=0.6, x=0.0, w=0.3),  # c = d vertex below d
+    dict(d=0.8, x=0.1, w=0.1),  # c = d and c = s vertices below d
+    dict(x=1.0, w=1.0),  # c = s vertex at s = 1
+    dict(d=0.9, r_d=1.0, r_s=0.0, beta=0.1, gamma=0.1, zeta=0.1),  # s = 1 vertex below d
+    dict(d=0.9, r_d=0.0, r_s=1.0, beta=0.1, gamma=0.1, zeta=0.1),  # s = 1 vertex above 1
+    dict(d=0.2, x=1.0, w=0.9, n=3, alpha=1.5, beta=3.0, gamma=0.15, zeta=1.2,
+         r_d=0.95, r_s=0.05),  # optimum inside the s = 1 face
+    dict(d=1.0),
+    dict(d=1.0, r_s=0.3),
+    dict(d=1.0, x=1.0, w=1.0),  # c = d vertex at s = 1
+    dict(r_s=0.3),
+    dict(r_s=0.3, n=1000),
+]
+
+
+def _face_profiles(p, samples=201):
+    """Dense grids along the faces c = d, c = s and s = 1.
+
+    When r_s != r_d the welfare is singular at s = d, and social_welfare
+    takes its interpolation term as a difference of sums divided by
+    s - d, which loses about one ulp / (s - d) of relative precision. The
+    grids along c = d and c = s therefore start 1e-3 above s = d.
+    """
+    lo = p.d if p.r_s == p.r_d else p.d + 1e-3
+    if lo <= 1.0:
+        for s in np.linspace(lo, 1.0, samples):
+            yield OpinionProfile.uniform(p.d, s, p.n)
+            yield OpinionProfile.uniform(s, s, p.n)
+    if p.r_s == p.r_d or 1.0 - p.d > EPS_DEN:
+        for c in np.linspace(p.d, 1.0, samples):
+            yield OpinionProfile.uniform(c, 1.0, p.n)
 
 
 def _bisection_roots(omega, lo, hi, step=1e-6):
@@ -176,6 +213,24 @@ class TestMaximizeWelfare:
             for k in range(len(s)):
                 q = OpinionProfile.uniform(c[k], s[k], p.n)
                 assert social_welfare(p, q) <= report.sw_max + 1e-9
+
+    def test_face_optima_dominate_dense_face_grids(self, fig1):
+        rng = np.random.default_rng(59)
+        points = [fig1] + [fig1.replace(**edge) for edge in FACE_EDGE_CASES]
+        points += [draw_params(rng) for _ in range(200)]
+        locations = set()
+        for p in points:
+            report = maximize_welfare(p)
+            locations.add(report.location)
+            slack = 1e-12 * max(1.0, abs(report.sw_max))
+            for q in _face_profiles(p):
+                assert social_welfare(p, q) <= report.sw_max + slack
+            if p.r_s == p.r_d or report.argmax.s - p.d > EPS_DEN:
+                # The reported value is the sum of the individual utilities
+                # at the reported argmax.
+                assert total_utility(p, report.argmax) == pytest.approx(
+                    report.sw_max, rel=1e-12, abs=1e-12)
+        assert {"face:c=d", "face:s=1", "face:c=s"} <= locations
 
     def test_optimum_dominates_equilibria(self):
         rng = np.random.default_rng(43)
