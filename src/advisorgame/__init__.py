@@ -21,6 +21,7 @@ from .params import (
 )
 from .model import (
     advisor_best_response,
+    advisor_utilities,
     advisor_utility,
     customer_best_response,
     customer_utility,

@@ -93,8 +93,14 @@ class EquilibriumPair:
 
 
 def quadratic_discriminant(p: ModelParams) -> float:
-    """The expression under the square root of the root closed form."""
-    return (p.d - p.x) ** 2 + (2.0 * p.gamma * p.n) / (p.alpha * p.zeta) * (p.r_s - p.r_d)
+    """The expression under the square root of the root closed form.
+
+    Raises DegenerateDenominator when alpha * zeta underflows to 0.
+    """
+    alpha_zeta = p.alpha * p.zeta
+    if alpha_zeta == 0.0:
+        raise DegenerateDenominator(f"alpha * zeta = {p.alpha!r} * {p.zeta!r} underflows to 0")
+    return (p.d - p.x) ** 2 + (2.0 * p.gamma * p.n) / alpha_zeta * (p.r_s - p.r_d)
 
 
 def _residual_check(p: ModelParams, root: float) -> None:
@@ -260,9 +266,12 @@ def critical_zeta(p: ModelParams) -> CriticalZeta:
     """
     if p.n != 1:
         raise UnsupportedN("the critical dissonance value is stated for n = 1")
-    if p.x == p.d:
-        raise DegenerateDenominator("the critical dissonance value needs x != d")
-    zeta_bar = -0.5 * ((p.alpha + p.gamma) / p.alpha) ** 2 * (p.r_s - p.r_d) / (p.x - p.d) ** 2
+    gap_sq = (p.x - p.d) ** 2
+    if gap_sq == 0.0:
+        raise DegenerateDenominator(f"the critical dissonance value needs (x - d)^2 > 0, got {gap_sq!r}")
+    zeta_bar = -0.5 * ((p.alpha + p.gamma) / p.alpha) ** 2 * (p.r_s - p.r_d) / gap_sq
+    if not math.isfinite(zeta_bar):
+        raise DegenerateDenominator(f"the critical dissonance value overflows at (x - d)^2 = {gap_sq!r}")
     last = (
         0.5 * (p.d + p.x) - 0.5 * abs((p.d - p.x) * (p.alpha - p.gamma)) / (p.alpha + p.gamma),
         p.d,

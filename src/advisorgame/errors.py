@@ -14,7 +14,8 @@ class InvalidParameter(AdvisorGameError, ValueError):
 
 
 class DegenerateDenominator(AdvisorGameError, ZeroDivisionError):
-    """The customer utility is singular at s = d_i; the point was rejected."""
+    """A denominator is zero: the customer utility at s = d_i, or a closed
+    form whose weights underflow to 0; the point was rejected."""
 
 
 class EqualReturns(AdvisorGameError, ValueError):

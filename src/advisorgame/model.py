@@ -22,14 +22,21 @@ from .errors import DegenerateDenominator
 from .params import EPS_DEN, HeterogeneousParams, ModelParams, OpinionProfile
 
 
+def advisor_utilities(p, c, s) -> np.ndarray:
+    """Advisor payoff at customer opinions ``c`` for each stated opinion
+    in the 1-D array ``s``; memory is len(s) * len(c) floats."""
+    c = np.asarray(c, dtype=float)
+    s = np.asarray(s, dtype=float)
+    return (
+        -p.alpha * (s - p.x) ** 2
+        - p.beta * np.sum((p.w - c) ** 2)
+        - p.gamma * np.sum((s[:, None] - c) ** 2, axis=1)
+    )
+
+
 def advisor_utility(p, q: OpinionProfile) -> float:
     """Advisor payoff at profile ``q``; always <= 0."""
-    c = q.c_array()
-    return float(
-        -p.alpha * (q.s - p.x) ** 2
-        - p.beta * np.sum((p.w - c) ** 2)
-        - p.gamma * np.sum((q.s - c) ** 2)
-    )
+    return float(advisor_utilities(p, q.c, [q.s])[0])
 
 
 def customer_utility(sl, c_i: float, s: float) -> float:
@@ -77,7 +84,7 @@ def social_welfare(p: ModelParams, q: OpinionProfile) -> float:
         return base
     if abs(q.s - p.d) <= EPS_DEN:
         raise DegenerateDenominator(f"s = {q.s} is within {EPS_DEN} of d = {p.d}")
-    return base + (p.r_s - p.r_d) / (q.s - p.d) * float(np.sum(c) - p.d * p.n)
+    return base + (p.r_s - p.r_d) / (q.s - p.d) * float(np.sum(c - p.d))
 
 
 def social_welfare_gradient(p: ModelParams, q: OpinionProfile) -> np.ndarray:
@@ -90,7 +97,7 @@ def social_welfare_gradient(p: ModelParams, q: OpinionProfile) -> np.ndarray:
         if abs(s - p.d) <= EPS_DEN:
             raise DegenerateDenominator(f"s = {s} is within {EPS_DEN} of d = {p.d}")
         slope = (p.r_s - p.r_d) / (s - p.d)
-        curve = -(p.r_s - p.r_d) / (s - p.d) ** 2 * float(np.sum(c) - p.d * p.n)
+        curve = -(p.r_s - p.r_d) / (s - p.d) ** 2 * float(np.sum(c - p.d))
     g_c = 2.0 * p.beta * (p.w - c) + 2.0 * (p.gamma + p.zeta) * (s - c) + slope
     g_s = (
         -2.0 * p.alpha * (s - p.x)

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import DegenerateDenominator, GridTooLarge, InvalidParameter
 from .model import (
     advisor_best_response,
+    advisor_utilities,
     advisor_utility,
     customer_best_response,
     customer_utility,
@@ -23,6 +24,11 @@ from .model import (
 from .params import EPS_DEN, HeterogeneousParams, ModelParams, OpinionProfile
 
 MAX_GRID_POINTS = 100_000_000
+# Columns of the s axis per block of the homogeneous grid; 16 to 64 are
+# about equally fast, much wider blocks fall out of cache.
+GRID_BLOCK = 32
+# Cells of one (deviation x customer) array in the Nash deviation check.
+DEVIATION_CELLS = 1 << 16
 HETERO_MAX_N = 3
 
 
@@ -64,31 +70,67 @@ def _grid_homogeneous(p: ModelParams, res: float):
     For fixed s the welfare is separable and strictly concave in each
     c_i with identical coefficients, so its maximizer over the customers
     is always symmetric; the 2-D slice therefore contains the optimum.
+
+    The s axis is streamed in blocks of ``GRID_BLOCK`` columns, and each
+    block evaluates only the rows that can satisfy c <= s, so memory is
+    set by the block width, not by the grid. Every cell is computed with
+    the same operations, in the same order, as the dense s x c array, and
+    the winner is the dense array's first maximum in C order (smallest c
+    index, then smallest s index), so profile and value are bit-identical.
     """
-    s_axis = _axis(p.d, 1.0, res)
-    c_axis = s_axis.copy()
-    count = len(s_axis) * len(c_axis)
+    axis = _axis(p.d, 1.0, res)  # both the s and the c axis
+    count = len(axis) * len(axis)
     if count > MAX_GRID_POINTS:
         raise GridTooLarge(f"{count} grid points exceed the {MAX_GRID_POINTS} budget")
 
-    s = s_axis[None, :]
-    c = c_axis[:, None]
-    mask = c <= s + 1e-15
-    gap = s - p.d
-    with np.errstate(divide="ignore", invalid="ignore"):
-        frac = np.where(gap > EPS_DEN, (c - p.d) / np.where(gap > EPS_DEN, gap, 1.0), 0.0)
-    # At c = s the interpolated return is exactly r_s, also in the s -> d corner.
-    frac = np.where(np.abs(c - s) <= 1e-15, 1.0, frac)
-    u_cl = p.r_d + frac * (p.r_s - p.r_d) - p.zeta * (s - c) ** 2
-    u_a = (
-        -p.alpha * (s - p.x) ** 2
-        - p.beta * p.n * (p.w - c) ** 2
-        - p.gamma * p.n * (s - c) ** 2
-    )
-    sw = np.where(mask, u_a + p.n * u_cl, -np.inf)
-    i, j = np.unravel_index(int(np.argmax(sw)), sw.shape)
-    best = OpinionProfile.uniform(float(c_axis[i]), float(s_axis[j]), p.n)
-    return best, float(sw[i, j])
+    # Terms that depend on one coordinate only, computed once; c - d and
+    # s - d are the same vector because the axes coincide.
+    s_term = -p.alpha * (axis - p.x) ** 2
+    c_term = p.beta * p.n * (p.w - axis) ** 2
+    c_gap = axis - p.d
+    s_ok = c_gap > EPS_DEN
+    s_gap = np.where(s_ok, c_gap, 1.0)
+
+    best_val, best_i, best_j = [], [], []
+    for j0 in range(0, len(axis), GRID_BLOCK):
+        j1 = min(j0 + GRID_BLOCK, len(axis))
+        s = axis[j0:j1]
+        # Rows past the last c <= max(s) + 1e-15 are all masked out, and
+        # rows below ``near`` lie more than 1e-14 below every s of the
+        # block, so neither the c = s test nor the mask can hold there.
+        rows = int(np.searchsorted(axis, s[-1] + 1e-15, side="right"))
+        near = int(np.searchsorted(axis, s[0] - 1e-14))
+        c = axis[:rows, None]
+        s_c = s - c
+        frac = c_gap[:rows, None] / s_gap[j0:j1]
+        frac[:, ~s_ok[j0:j1]] = 0.0
+        # At c = s the interpolated return is exactly r_s, also in the s -> d corner.
+        frac[near:][np.abs(s_c[near:]) <= 1e-15] = 1.0
+        # In place from here on; + and * commute exactly, so each line is
+        # the dense expression's operation on the same operands.
+        sq = np.square(s_c, out=s_c)
+        frac *= p.r_s - p.r_d
+        frac += p.r_d
+        penalty = p.zeta * sq
+        frac -= penalty  # u_cl = r_d + frac (r_s - r_d) - zeta (s - c)^2
+        sw = s_term[j0:j1] - c_term[:rows, None]
+        sw -= np.multiply(sq, p.gamma * p.n, out=penalty)  # u_a
+        frac *= p.n
+        sw += frac  # u_a + n u_cl
+        sw[near:][c[near:] > s + 1e-15] = -np.inf
+        i, j = np.unravel_index(int(np.argmax(sw)), sw.shape)
+        best_val.append(sw[i, j])
+        best_i.append(i)
+        best_j.append(j0 + j)
+
+    # The dense argmax: a NaN wins, else the largest value; ties go to
+    # the smallest c index, then to the earliest block.
+    vals = np.array(best_val)
+    top = vals[np.argmax(vals)]
+    tied = np.isnan(vals) if np.isnan(top) else vals == top
+    k = int(np.argmin(np.where(tied, best_i, len(axis))))
+    best = OpinionProfile.uniform(float(axis[best_i[k]]), float(axis[best_j[k]]), p.n)
+    return best, float(vals[k])
 
 
 def _grid_heterogeneous(p: HeterogeneousParams, res: float):
@@ -239,12 +281,15 @@ def perturbation_check(
         slices = [params.customer()] * params.n
 
     base_a = advisor_utility(params, q)
-    for s_dev in rng.uniform(0.0, 1.0, size=trials):
-        if advisor_utility(params, OpinionProfile(q.c, s_dev)) > base_a + improvement_tol:
+    s_dev = rng.uniform(0.0, 1.0, size=trials)
+    # Chunks of deviations keep the (deviation x customer) array small.
+    step = max(1, DEVIATION_CELLS // len(q.c))
+    for k in range(0, trials, step):
+        if np.any(advisor_utilities(params, q.c, s_dev[k : k + step]) > base_a + improvement_tol):
             return False
     for i, sl in enumerate(slices):
         base_i = customer_utility(sl, q.c[i], q.s)
-        for c_dev in rng.uniform(sl.d, max(q.s, sl.d), size=trials):
-            if customer_utility(sl, c_dev, q.s) > base_i + improvement_tol:
-                return False
+        c_dev = rng.uniform(sl.d, max(q.s, sl.d), size=trials)
+        if np.any(customer_utility(sl, c_dev, q.s) > base_i + improvement_tol):
+            return False
     return True

@@ -3,10 +3,14 @@ serialization round-trips."""
 
 import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from advisorgame import AdvisorGameError, ModelParams
 from advisorgame.cli import (
     COLUMNS,
     ConfigError,
@@ -97,6 +101,21 @@ class TestAnalyze:
         code = main(["analyze", "--config", config_path, "--alpha", "inf"])
         assert code == 1
         assert "alpha" in capsys.readouterr().err
+
+    def test_underflowing_weights_exit_code(self, capsys, config_path):
+        # alpha * zeta underflows to 0 in the discriminant's denominator.
+        code = main(["analyze", "--config", config_path,
+                     "--alpha", "1e-170", "--zeta", "1e-170"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("DegenerateDenominator: alpha * zeta")
+
+    @pytest.mark.parametrize("d", ["8.4e-184", "1e-160"])
+    def test_vanishing_opinion_gap_exit_code(self, capsys, config_path, d):
+        # (x - d)^2 underflows to 0 or to a subnormal that zeta_bar overflows on.
+        code = main(["analyze", "--config", config_path, "--x", "0", "--d", d])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "DegenerateDenominator: the critical dissonance value")
 
     def test_missing_config_exit_code(self, capsys):
         assert main(["analyze", "--config", "/nonexistent.cfg"]) == 1
@@ -239,3 +258,40 @@ class TestOracleCheck:
         captured = capsys.readouterr()
         assert "budget" in captured.err
         assert captured.out == ""
+
+
+_WEIGHT = st.floats(-8.0, 8.0).map(lambda e: 10.0**e)
+_UNIT = st.floats(0.0, 1.0)
+
+
+@st.composite
+def _edge_params(draw):
+    d = draw(st.one_of(st.just(1.0), _UNIT))
+    r_d = draw(_UNIT)
+    return ModelParams(
+        d=d,
+        x=draw(st.one_of(st.just(d), _UNIT)),
+        w=draw(_UNIT),
+        n=draw(st.one_of(st.just(1), st.just(1000), st.integers(1, 1000))),
+        alpha=draw(_WEIGHT),
+        beta=draw(_WEIGHT),
+        gamma=draw(_WEIGHT),
+        zeta=draw(_WEIGHT),
+        r_d=r_d,
+        r_s=draw(st.one_of(st.just(r_d), _UNIT)),
+    )
+
+
+class TestRobustness:
+    @settings(max_examples=300, deadline=None)
+    @given(_edge_params())
+    @example(ModelParams(**dict(FIG1_VALUES, d=8.38991333608418e-184, x=0.0)))
+    @example(ModelParams(**dict(FIG1_VALUES, d=1e-160, x=0.0)))
+    def test_run_single_is_finite_or_raises_a_library_error(self, p):
+        try:
+            record = run_single(p)
+        except AdvisorGameError:
+            return
+        for key, value in record.items():
+            if isinstance(value, float):
+                assert math.isfinite(value), key

@@ -14,6 +14,7 @@ from advisorgame import (
     ModelParams,
     OpinionProfile,
     advisor_best_response,
+    advisor_utilities,
     advisor_utility,
     customer_best_response,
     customer_utility,
@@ -93,6 +94,18 @@ class TestAdvisorUtility:
         assert exact == F("-0.0056875")
         q = OpinionProfile.uniform(0.275, 0.3, 1)
         assert advisor_utility(fig1, q) == pytest.approx(float(exact), abs=1e-15)
+
+    def test_array_entries_equal_scalar_calls(self):
+        rng = np.random.default_rng(17)
+        for n in (1, 2, 3, 9, 130, 1000):
+            p = draw_params(rng, n=n)
+            c = rng.uniform(p.d, 1.0, size=n)
+            s = rng.uniform(0.0, 1.0, size=257)
+            values = advisor_utilities(p, c, s)
+            assert values.shape == s.shape
+            for k in range(0, len(s), 16):
+                assert values[k] == advisor_utility(p, OpinionProfile(tuple(c), s[k]))
+                assert values[k] == advisor_utilities(p, c, s[k : k + 1])[0]
 
 
 class TestCustomerUtility:
@@ -188,6 +201,13 @@ class TestSocialWelfare:
             sw = social_welfare(p, q)
             direct = total_utility(p, q)
             assert sw == pytest.approx(direct, rel=1e-12, abs=1e-12)
+
+    def test_exact_next_to_the_singularity(self, fig1):
+        # Summing c_i - d before dividing by s - d keeps this exact; the
+        # difference sum(c) - d n would cancel to about one ulp / (s - d).
+        p = fig1.replace(n=3)
+        q = OpinionProfile.uniform(p.d + 1e-9, p.d + 1e-9, 3)
+        assert social_welfare(p, q) == pytest.approx(total_utility(p, q), rel=1e-12)
 
     def test_all_penalties_vanish(self):
         p = ModelParams(d=0.1, x=0.6, w=0.6, n=3, alpha=1, beta=1, gamma=1,

@@ -1,17 +1,23 @@
 """Brute-force cross-checks: welfare grid, best-response dynamics and
 random-deviation Nash verification."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from advisorgame import (
+    EPS_DEN,
     DegenerateDenominator,
     GridSpec,
     GridTooLarge,
     HeterogeneousParams,
     InvalidParameter,
+    ModelParams,
     OpinionProfile,
+    advisor_utility,
     best_response_dynamics,
+    customer_utility,
     grid_max_welfare,
     lipschitz_bound,
     maximize_welfare,
@@ -19,8 +25,9 @@ from advisorgame import (
     perturbation_check,
     total_utility,
 )
+from advisorgame.oracle import GRID_BLOCK, _axis
 
-from conftest import draw_params
+from conftest import draw_domain_point, draw_params
 
 
 def _hetero_like(p, n=2):
@@ -82,6 +89,123 @@ class TestGrid:
         point, value = grid_max_welfare(het, GridSpec(1e-2))
         assert point.c[0] >= 0.1 and point.c[1] >= 0.3
         assert value == pytest.approx(total_utility(het, point), rel=1e-10)
+
+
+def _dense_grid(p, res):
+    """The whole s x c welfare array at once, argmax in C order: the
+    reference the streamed grid must reproduce bit for bit."""
+    s_axis = _axis(p.d, 1.0, res)
+    c_axis = s_axis.copy()
+    s = s_axis[None, :]
+    c = c_axis[:, None]
+    mask = c <= s + 1e-15
+    gap = s - p.d
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac = np.where(gap > EPS_DEN, (c - p.d) / np.where(gap > EPS_DEN, gap, 1.0), 0.0)
+    frac = np.where(np.abs(c - s) <= 1e-15, 1.0, frac)
+    with np.errstate(over="ignore", invalid="ignore"):
+        u_cl = p.r_d + frac * (p.r_s - p.r_d) - p.zeta * (s - c) ** 2
+        u_a = (
+            -p.alpha * (s - p.x) ** 2
+            - p.beta * p.n * (p.w - c) ** 2
+            - p.gamma * p.n * (s - c) ** 2
+        )
+        sw = np.where(mask, u_a + p.n * u_cl, -np.inf)
+    i, j = np.unravel_index(int(np.argmax(sw)), sw.shape)
+    return OpinionProfile.uniform(float(c_axis[i]), float(s_axis[j]), p.n), float(sw[i, j])
+
+
+def _assert_matches_dense(p, res):
+    point, value = grid_max_welfare(p, GridSpec(res))
+    ref_point, ref_value = _dense_grid(p, res)
+    assert point == ref_point
+    assert value == ref_value or (np.isnan(value) and np.isnan(ref_value))
+
+
+def _d_for_axis_length(length, res):
+    """A baseline d whose grid axis at ``res`` has ``length`` points."""
+    d = 1.0 - (length - 1) * res
+    assert len(_axis(d, 1.0, res)) == length
+    return d
+
+
+class TestBlockedGrid:
+    """The streamed grid against the dense s x c evaluation, with ==."""
+
+    @pytest.mark.parametrize("res, count", [(1e-2, 60), (1e-3, 24), (5e-4, 6)])
+    def test_seeded_points(self, res, count):
+        rng = np.random.default_rng(int(1 / res))
+        for _ in range(count):
+            _assert_matches_dense(draw_params(rng, n=int(rng.choice([1, 3, 7, 1000]))), res)
+
+    @pytest.mark.parametrize("res", [1e-2, 1e-3])
+    def test_fig1_variants(self, fig1, res):
+        for p in (fig1, fig1.replace(n=2), fig1.replace(r_s=0.35, zeta=3.0)):
+            _assert_matches_dense(p, res)
+
+    def test_single_cell(self, fig1):
+        _assert_matches_dense(fig1.replace(d=1.0), 1e-3)
+
+    def test_equal_returns(self):
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            p = draw_params(rng)
+            _assert_matches_dense(p.replace(r_s=p.r_d), 1e-2)
+
+    @pytest.mark.parametrize(
+        "length", [GRID_BLOCK - 1, GRID_BLOCK, GRID_BLOCK + 1, 2 * GRID_BLOCK + 1]
+    )
+    def test_axis_length_at_block_edges(self, length):
+        rng = np.random.default_rng(length)
+        for _ in range(5):
+            p = draw_params(rng)
+            _assert_matches_dense(p.replace(d=_d_for_axis_length(length, 1e-2)), 1e-2)
+
+    def test_ties_take_the_first_cell_in_c_order(self):
+        res = 1.0 / 64  # the axis k / 64 and the midpoints below are exact
+        tiny = dict(alpha=1e-30, beta=1e-30, gamma=1e-30, zeta=1e-30)
+        base = ModelParams(d=0.0, x=0.5, w=0.5, n=1, r_d=0.3, r_s=0.3, **tiny)
+        # Every feasible cell evaluates to r_d: the winner is (c, s) = (0, 0).
+        point, _ = grid_max_welfare(base, GridSpec(res))
+        assert point == OpinionProfile.uniform(0.0, 0.0, 1)
+        _assert_matches_dense(base, res)
+        # s = 31/64 and 32/64 tie across the first block edge, in row 0.
+        p = base.replace(alpha=1.0, x=31.5 / 64)
+        point, _ = grid_max_welfare(p, GridSpec(res))
+        assert point == OpinionProfile.uniform(0.0, 31 / 64, 1)
+        _assert_matches_dense(p, res)
+        # Rows c = 40/64 and 41/64 tie over every s from 40/64 on.
+        p = base.replace(beta=1.0, w=40.5 / 64)
+        point, _ = grid_max_welfare(p, GridSpec(res))
+        assert point == OpinionProfile.uniform(40 / 64, 40 / 64, 1)
+        _assert_matches_dense(p, res)
+        # Weights near one ulp of r_d round many cells to the same value.
+        # The first block's best has c index 15; the tied cell with the
+        # smallest c index (7) lies in a later block and must win.
+        p = base.replace(x=0.6, w=0.5, alpha=2e-16, beta=3e-16, r_d=0.72, r_s=0.72)
+        point, _ = grid_max_welfare(p, GridSpec(1e-2))
+        assert point.s > _axis(p.d, 1.0, 1e-2)[GRID_BLOCK - 1]
+        _assert_matches_dense(p, 1e-2)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_overflowing_weights_keep_the_dense_nan_rule(self):
+        # beta * n overflows, so the row c = w is inf * 0 = NaN and every
+        # other cell is -inf: the dense argmax returns the first NaN.
+        p = ModelParams(d=0.0, x=0.5, w=40 / 64, n=10, alpha=1.0, beta=1e308,
+                        gamma=1.0, zeta=1.0, r_d=0.3, r_s=0.2)
+        point, value = grid_max_welfare(p, GridSpec(1.0 / 64))
+        assert np.isnan(value)
+        assert point == OpinionProfile.uniform(40 / 64, 40 / 64, 10)
+        _assert_matches_dense(p, 1.0 / 64)
+
+    def test_finest_grid_memory_is_bounded(self, fig1):
+        tracemalloc.start()
+        try:
+            grid_max_welfare(fig1, GridSpec(1e-4))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
 
 
 class TestDynamics:
@@ -171,3 +295,60 @@ class TestPerturbation:
         q = OpinionProfile.uniform(0.27, 0.31, 1)
         runs = {perturbation_check(fig1, q, 50, seed=9) for _ in range(5)}
         assert len(runs) == 1
+
+
+def _scalar_perturbation_check(params, q, trials, seed=0, improvement_tol=1e-9):
+    """One utility call per random deviation, drawn as perturbation_check
+    draws them: the reference for its array evaluation."""
+    rng = np.random.default_rng(seed)
+    if isinstance(params, HeterogeneousParams):
+        slices = [params.customer(i) for i in range(params.n)]
+    else:
+        slices = [params.customer()] * params.n
+    base_a = advisor_utility(params, q)
+    for s_dev in rng.uniform(0.0, 1.0, size=trials):
+        if advisor_utility(params, OpinionProfile(q.c, s_dev)) > base_a + improvement_tol:
+            return False
+    for i, sl in enumerate(slices):
+        base_i = customer_utility(sl, q.c[i], q.s)
+        for c_dev in rng.uniform(sl.d, max(q.s, sl.d), size=trials):
+            if customer_utility(sl, float(c_dev), q.s) > base_i + improvement_tol:
+                return False
+    return True
+
+
+class TestPerturbationMatchesScalarLoop:
+    def test_seeded_equilibria_and_other_profiles(self):
+        rng = np.random.default_rng(71)
+        verdicts = []
+        for k in range(150):
+            p = draw_params(rng, n=int(rng.choice([1, 2, 3, 50])))
+            eq = nash_equilibria(p)
+            profiles = [draw_domain_point(rng, p, margin=1e-3)]
+            profiles += [
+                q for q in (eq.p_star, eq.p_dagger)
+                if q is not None and q.in_domain(p.d) and q.s - p.d > 1e-9
+            ]
+            for q in profiles:
+                for seed in (k, k + 1):
+                    got = perturbation_check(p, q, 300, seed=seed)
+                    assert got == _scalar_perturbation_check(p, q, 300, seed=seed)
+                    verdicts.append(got)
+        assert True in verdicts and False in verdicts
+
+    def test_heterogeneous_profiles(self):
+        het = HeterogeneousParams(
+            x=0.4, w=0.5, n=2, alpha=0.05, beta=0.1, gamma=0.2, zeta=10.0,
+            r_s=0.2, d_i=(0.1, 0.15), r_d_i=(0.3, 0.28),
+        )
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            s = rng.uniform(0.2, 1.0)
+            q = OpinionProfile(c=tuple(rng.uniform(0.15, s, size=2)), s=s)
+            assert perturbation_check(het, q, 200) == _scalar_perturbation_check(het, q, 200)
+
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_non_positive_trials_warn(self, fig1, trials):
+        q = OpinionProfile.uniform(0.2, 0.5, 1)
+        with pytest.warns(RuntimeWarning, match=r"^trials <= 0: the Nash check is vacuous$"):
+            assert perturbation_check(fig1, q, trials)

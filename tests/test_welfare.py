@@ -49,12 +49,11 @@ FACE_EDGE_CASES = [
 def _face_profiles(p, samples=201):
     """Dense grids along the faces c = d, c = s and s = 1.
 
-    When r_s != r_d the welfare is singular at s = d, and social_welfare
-    takes its interpolation term as a difference of sums divided by
-    s - d, which loses about one ulp / (s - d) of relative precision. The
-    grids along c = d and c = s therefore start 1e-3 above s = d.
+    When r_s != r_d the welfare is singular at s = d, so the grids along
+    c = d and c = s start 1e-9 above s = d, where social_welfare sums
+    c_i - d before dividing by s - d and stays exact to rounding.
     """
-    lo = p.d if p.r_s == p.r_d else p.d + 1e-3
+    lo = p.d if p.r_s == p.r_d else p.d + 1e-9
     if lo <= 1.0:
         for s in np.linspace(lo, 1.0, samples):
             yield OpinionProfile.uniform(p.d, s, p.n)
