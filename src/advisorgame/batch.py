@@ -1,0 +1,145 @@
+"""Row batches for the closed-form kernels of ``equilibria`` and ``welfare``.
+
+A kernel evaluates one closed form for many homogeneous games at once,
+one game per row. It reproduces the scalar formulas bit for bit: every
+operation is a single IEEE operation in the same order, Python's
+``max``/``min`` become ``np.where`` on the same comparison, and a power
+goes through the C library's ``pow`` as Python's ``**`` does (numpy's
+vectorized power differs from it in the last bit on a few percent of
+inputs). A row that fails a check keeps flowing through the later stages
+with meaningless values; ``RowErrors`` remembers the first error each row
+met, and the batch raises the one of its first failing row.
+"""
+
+from __future__ import annotations
+
+import math
+import operator
+from typing import Callable, Dict
+
+import numpy as np
+
+from .errors import AdvisorGameError
+
+
+_NAMES = ("d", "x", "w", "n", "alpha", "beta", "gamma", "zeta", "r_d", "r_s")
+_FIELDS = operator.attrgetter(*_NAMES)
+
+
+class ParamBatch:
+    """The fields of validated ``ModelParams``, one float64 array each.
+
+    ``n`` holds the customer counts as floats, which is how the scalar
+    formulas use them (an int times a float converts the int first). The
+    arrays are never written to.
+    """
+
+    __slots__ = _NAMES + ("equal", "any_equal", "dr", "gn")
+
+    def __init__(self, d, x, w, n, alpha, beta, gamma, zeta, r_d, r_s):
+        self.d, self.x, self.w, self.n = d, x, w, n
+        self.alpha, self.beta, self.gamma, self.zeta = alpha, beta, gamma, zeta
+        self.r_d, self.r_s = r_d, r_s
+        # Subexpressions that many closed forms share. ``any_equal`` lets a
+        # kernel skip the r_s == r_d branch when no row takes it.
+        self.equal = r_s == r_d
+        self.any_equal = bool(np.count_nonzero(self.equal))
+        self.dr = r_s - r_d
+        self.gn = gamma * n
+
+    @classmethod
+    def of(cls, params) -> "ParamBatch":
+        """Stack a sequence of ``ModelParams``, one row each."""
+        return cls(*np.array([_FIELDS(p) for p in params], dtype=float).reshape(-1, len(_NAMES)).T)
+
+    def __len__(self) -> int:
+        return len(self.d)
+
+    def take(self, rows) -> "ParamBatch":
+        return ParamBatch(*(column[rows] for column in _FIELDS(self)))
+
+    def replace(self, **changes) -> "ParamBatch":
+        return ParamBatch(*(changes.get(name, getattr(self, name)) for name in _NAMES))
+
+
+class RowErrors:
+    """The first library error met by each row of a batch."""
+
+    def __init__(self):
+        self.first: Dict[int, AdvisorGameError] = {}
+
+    def add(self, mask, make: Callable[[int], AdvisorGameError], rows=None) -> None:
+        """Record ``make(i)`` for every row i in ``mask`` that has no error
+        yet; ``rows`` maps the mask's positions to the batch's rows."""
+        if not np.count_nonzero(mask):
+            return
+        for i in np.flatnonzero(mask).tolist():
+            row = i if rows is None else int(rows[i])
+            if row not in self.first:
+                self.first[row] = make(i)
+
+    def merge(self, other: "RowErrors", rows) -> None:
+        """Take over the errors of a batch made of ``rows`` of this one."""
+        for i in sorted(other.first):
+            self.first.setdefault(int(rows[i]), other.first[i])
+
+    def raise_first(self) -> None:
+        if self.first:
+            raise self.first[min(self.first)]
+
+
+def one_row(kernel, batch):
+    """``kernel(batch, errors)`` on a batch of one row; raises the row's
+    error, if any. This is how the scalar entry points run."""
+    errors = RowErrors()
+    with np.errstate(all="ignore"):
+        result = kernel(batch, errors)
+    errors.raise_first()
+    return result
+
+
+def power(values: np.ndarray, exponent: float) -> np.ndarray:
+    """``v ** exponent`` elementwise through the C library's ``pow``, as
+    for a Python float, except that an overflow gives a signed infinity
+    instead of raising, so that the caller's finiteness check reports it."""
+    flat = values.ravel().tolist()
+    try:
+        out = [v**exponent for v in flat]
+    except OverflowError:
+        out = [_pow_or_inf(v, exponent) for v in flat]
+    return np.array(out, dtype=float).reshape(values.shape)
+
+
+def _pow_or_inf(v: float, exponent: float) -> float:
+    try:
+        return v**exponent
+    except OverflowError:
+        return math.copysign(math.inf, v) if exponent % 2 else math.inf
+
+
+def repeat_sum(values: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """``np.sum`` of ``n[i]`` copies of ``values[i, ...]`` along each row,
+    with the summation order of ``np.sum`` over an n-element profile and
+    without materializing the copies."""
+    values = np.asarray(values, dtype=float)
+    if len(n) and not np.count_nonzero(n != n[0]):
+        return _sum_copies(values, n[0])
+    out = np.empty_like(values)
+    for count in np.unique(n).tolist():
+        rows = n == count
+        out[rows] = _sum_copies(values[rows], count)
+    return out
+
+
+def _sum_copies(values: np.ndarray, count: float) -> np.ndarray:
+    return np.sum(np.broadcast_to(values[..., None], values.shape + (int(count),)), axis=-1)
+
+
+def where_max(a, b):
+    """Python's ``max(a, b)``: ``a`` unless ``b > a``."""
+    return np.where(b > a, b, a)
+
+
+def where_min(a, b):
+    """Python's ``min(a, b)``: ``a`` unless ``b < a``."""
+    return np.where(b < a, b, a)

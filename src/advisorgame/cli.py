@@ -8,12 +8,14 @@ the CLI flag of the same name, and flags win over the file.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 import numpy as np
 
-from .equilibria import admissibility_thresholds, critical_zeta
+from .batch import ParamBatch, RowErrors
+from .equilibria import check_thresholds, critical_zeta_arrays, threshold_arrays
 from .errors import AdvisorGameError, GridTooLarge, InvalidParameter
 from .oracle import (
     GridSpec,
@@ -23,7 +25,7 @@ from .oracle import (
     perturbation_check,
 )
 from .params import ModelParams
-from .welfare import maximize_welfare
+from .welfare import LOCATIONS, maximize_welfare, welfare_arrays
 
 PARAM_KEYS = ("d", "x", "w", "n", "alpha", "beta", "gamma", "zeta", "r_d", "r_s")
 
@@ -44,6 +46,9 @@ COLUMNS = (
     "pos",
     "flags",
 )
+
+# Rows per kernel call in a sweep; bounds the kernel's temporaries.
+SWEEP_BLOCK = 1024
 
 
 class ConfigError(AdvisorGameError):
@@ -92,63 +97,95 @@ def fmt(value) -> str:
     return "%.17g" % float(value)
 
 
+def _optional(values: np.ndarray, present: np.ndarray) -> list:
+    return [v if ok else None for v, ok in zip(values.tolist(), present.tolist())]
+
+
+def _records(params: list, values: list) -> list:
+    """The analysis record of each point, from one pass of the kernels;
+    raises the error of the first point that fails a check."""
+    P = ParamBatch.of(params)
+    errors = RowErrors()
+    with np.errstate(all="ignore"):
+        report = welfare_arrays(P, errors)
+        unequal = ~P.equal
+        r_d_1, r_d_2 = report.equilibria.thresholds or threshold_arrays(P)
+        check_thresholds(r_d_1, r_d_2, unequal, errors)
+        single = (P.n == 1.0) & (P.x != P.d)
+        at = np.flatnonzero(single)
+        zeta_bar = np.full(len(P), np.nan)
+        if at.size:
+            crit_errors = RowErrors()
+            zeta_bar[at] = critical_zeta_arrays(P.take(at), crit_errors)[0]
+            errors.merge(crit_errors, at)
+    errors.raise_first()
+
+    eq = report.equilibria
+    disagree = eq.region & (eq.region_verdict != eq.geometric).any(axis=0)
+    tokens = (
+        (eq.degenerate, "Degenerate"),
+        (disagree, "RegionGeometryDisagreement"),
+        (report.negative, "NegativeDenominator"),
+        (report.no_equilibria, "NoEquilibria"),
+        (report.zero, "ZeroDenominator"),
+    )
+    marks = [[name if on else "" for on in mask.tolist()] for mask, name in tokens]
+    flags = [";".join(filter(None, row)) for row in zip(*marks)]
+    unflagged = ~(report.no_equilibria | report.negative | report.zero)
+    columns = zip(
+        values,
+        eq.disc.tolist(),
+        _optional(eq.roots[0], eq.real),
+        _optional(eq.roots[1], eq.real),
+        _optional(eq.c[0], eq.present[0]),
+        _optional(eq.c[1], eq.present[1]),
+        eq.geometric[0].tolist(),
+        eq.geometric[1].tolist(),
+        _optional(r_d_1, unequal),
+        _optional(r_d_2, unequal),
+        _optional(zeta_bar, single),
+        report.sw_max.tolist(),
+        [LOCATIONS[k] for k in report.location.tolist()],
+        _optional(report.pos, unflagged),
+        flags,
+    )
+    return [dict(zip(COLUMNS, row)) for row in columns]
+
+
 def run_single(p: ModelParams, value=None) -> dict:
     """One analysis record; ``value`` is the swept value column (if any)."""
-    report = maximize_welfare(p)
-    eq = report.equilibria
-    record = {k: None for k in COLUMNS}
-    record["value"] = value
-    record["discriminant"] = eq.roots.discriminant
-    record["a"] = eq.roots.a
-    record["b"] = eq.roots.b
-    record["c_star"] = eq.p_star.c[0] if eq.p_star is not None else None
-    record["c_dagger"] = eq.p_dagger.c[0] if eq.p_dagger is not None else None
-    record["star_admissible"] = eq.star_admissible
-    record["dagger_admissible"] = eq.dagger_admissible
-    flags = []
-    if eq.degenerate:
-        flags.append("Degenerate")
-    if eq.star_region is not None and (
-        eq.star_region != eq.star_geometric or eq.dagger_region != eq.dagger_geometric
-    ):
-        flags.append("RegionGeometryDisagreement")
-    if p.r_s != p.r_d:
-        thr = admissibility_thresholds(p)
-        record["r_d_1"], record["r_d_2"] = thr.r_d_1, thr.r_d_2
-    if p.n == 1 and p.x != p.d:
-        record["zeta_bar"] = critical_zeta(p).zeta_bar
-    record["sw_max"] = report.sw_max
-    record["sw_location"] = report.location
-    record["pos"] = report.pos
-    flags.extend(sorted(f.value for f in report.pos_flags))
-    record["flags"] = ";".join(flags)
-    return record
+    return _records([p], [value])[0]
 
 
 def run_sweep(base_values: dict, param: str, lo: float, hi: float, steps: int) -> list:
     """One record per swept value, ascending; invalid rows are kept with
-    an error marker instead of being dropped."""
+    an error marker instead of being dropped. Valid rows go through the
+    kernels SWEEP_BLOCK at a time."""
     if param not in PARAM_KEYS:
         raise ConfigError(f"unknown sweep parameter {param!r}")
     if not (lo < hi):
         raise ConfigError(f"sweep range needs lo < hi, got {lo}:{hi}")
     if not (2 <= steps <= 10**6):
         raise ConfigError(f"sweep steps must lie in [2, 1000000], got {steps}")
+    sweep = np.linspace(lo, hi, steps).tolist()
     rows = []
-    for value in np.linspace(lo, hi, steps):
-        value = float(value)
-        values = dict(base_values)
-        values[param] = int(round(value)) if param == "n" else value
-        try:
-            p = build_params(values)
-        except (InvalidParameter, ConfigError) as exc:
-            row = {k: None for k in COLUMNS}
-            row["value"] = value
-            field = getattr(exc, "field", param)
-            row["flags"] = f"error:{field}"
-            rows.append(row)
-            continue
-        rows.append(run_single(p, value=value))
+    for start in range(0, steps, SWEEP_BLOCK):
+        block, params, values = [], [], []
+        for value in sweep[start:start + SWEEP_BLOCK]:
+            point = dict(base_values)
+            point[param] = int(round(value)) if param == "n" else value
+            try:
+                params.append(build_params(point))
+            except (InvalidParameter, ConfigError) as exc:
+                row = {k: None for k in COLUMNS}
+                row["value"] = value
+                row["flags"] = f"error:{getattr(exc, 'field', param)}"
+                block.append(row)
+                continue
+            block.append(None)
+            values.append(value)
+        records = iter(_records(params, values) if params else ())
+        rows.extend(next(records) if row is None else row for row in block)
     return rows
 
 
@@ -261,8 +298,12 @@ def _collect_values(args) -> dict:
     return values
 
 
+# Built on the first main() call and reused: parse_args leaves it unchanged.
+_parser = functools.lru_cache(maxsize=None)(make_parser)
+
+
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         values = _collect_values(args)
         if args.command == "analyze":

@@ -8,15 +8,22 @@ quadratic in the stated opinion s:
 whose roots a >= b generate the two candidate equilibria P* and P+.
 A candidate is admissible when it lies in the acceptance triangle
 d <= c <= s <= 1.
+
+The closed forms are written once, over a ``ParamBatch`` of many games
+(the ``*_arrays`` kernels, called under ``np.errstate(all="ignore")``
+with a ``RowErrors`` that collects each row's first error); the public
+functions are the same kernels on a batch of one.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
+import numpy as np
+
+from .batch import ParamBatch, RowErrors, one_row, power, where_max, where_min
 from .errors import (
     DegenerateDenominator,
     EqualReturns,
@@ -92,29 +99,146 @@ class EquilibriumPair:
     dagger_region: Optional[bool] = None
 
 
+class EquilibriumArrays(NamedTuple):
+    """The equilibrium pair of every row of a batch.
+
+    The (2, rows) arrays hold P* in row 0 and P+ in row 1: ``roots`` are
+    the stated opinions a and b (NaN where the roots are complex),
+    ``present`` whether the profile exists, ``c`` its customer coordinate,
+    ``geometric`` the triangle verdict and ``region_verdict`` the
+    closed-form one, which is meaningful only where ``region`` (real roots
+    and r_s != r_d). ``thresholds`` holds (r_d_1, r_d_2) of every row, or
+    None when no row has a region verdict.
+    """
+
+    disc: np.ndarray
+    real: np.ndarray
+    degenerate: np.ndarray
+    roots: np.ndarray
+    present: np.ndarray
+    c: np.ndarray
+    geometric: np.ndarray
+    region: np.ndarray
+    region_verdict: np.ndarray
+    thresholds: Optional[Tuple[np.ndarray, np.ndarray]]
+
+    def pair(self, i: int, n: int) -> EquilibriumPair:
+        """Row ``i`` as an ``EquilibriumPair`` with ``n`` customers."""
+        a, b = self.roots[:, i].tolist()
+        if not self.real[i]:
+            return EquilibriumPair(
+                p_star=None,
+                p_dagger=None,
+                star_admissible=False,
+                dagger_admissible=False,
+                admissibility_source=AdmissibilitySource.GEOMETRIC,
+                roots=QuadraticRoots(a=None, b=None, discriminant=self.disc[i].item()),
+            )
+        c_star, c_dagger = self.c[:, i].tolist()
+        has_star, has_dagger = self.present[:, i].tolist()
+        star_geo, dagger_geo = self.geometric[:, i].tolist()
+        p_star = OpinionProfile.uniform(c_star, a, n) if has_star else None
+        degenerate = bool(self.degenerate[i])
+        if degenerate:
+            p_dagger = p_star
+        else:
+            p_dagger = OpinionProfile.uniform(c_dagger, b, n) if has_dagger else None
+        star_region = dagger_region = None
+        source = AdmissibilitySource.GEOMETRIC
+        if self.region[i]:
+            star_region, dagger_region = self.region_verdict[:, i].tolist()
+            if star_region == star_geo and dagger_region == dagger_geo:
+                source = AdmissibilitySource.BOTH
+        return EquilibriumPair(
+            p_star=p_star,
+            p_dagger=p_dagger,
+            star_admissible=star_geo,
+            dagger_admissible=dagger_geo,
+            admissibility_source=source,
+            roots=QuadraticRoots(a=a, b=b, discriminant=self.disc[i].item()),
+            degenerate=degenerate,
+            star_geometric=star_geo,
+            dagger_geometric=dagger_geo,
+            star_region=star_region,
+            dagger_region=dagger_region,
+        )
+
+
+def discriminant_arrays(P: ParamBatch, errors: RowErrors) -> np.ndarray:
+    """The expression under the square root of the root closed form.
+
+    A row fails with DegenerateDenominator when alpha * zeta underflows
+    to 0, and with NumericalContractError when the expression is not
+    finite.
+    """
+    alpha_zeta = P.alpha * P.zeta
+    errors.add(alpha_zeta == 0.0, lambda i: DegenerateDenominator(
+        f"alpha * zeta = {P.alpha[i].item()!r} * {P.zeta[i].item()!r} underflows to 0"))
+    disc = power(P.d - P.x, 2) + (2.0 * P.gamma * P.n) / alpha_zeta * P.dr
+    errors.add(~np.isfinite(disc), lambda i: NumericalContractError(
+        f"quadratic discriminant {disc[i].item()!r} is not finite"))
+    return disc
+
+
 def quadratic_discriminant(p: ModelParams) -> float:
     """The expression under the square root of the root closed form.
 
-    Raises DegenerateDenominator when alpha * zeta underflows to 0.
+    Raises DegenerateDenominator when alpha * zeta underflows to 0 and
+    NumericalContractError when the expression is not finite.
     """
-    alpha_zeta = p.alpha * p.zeta
-    if alpha_zeta == 0.0:
-        raise DegenerateDenominator(f"alpha * zeta = {p.alpha!r} * {p.zeta!r} underflows to 0")
-    return (p.d - p.x) ** 2 + (2.0 * p.gamma * p.n) / alpha_zeta * (p.r_s - p.r_d)
+    return one_row(discriminant_arrays, ParamBatch.of([p]))[0].item()
 
 
-def _residual_check(p: ModelParams, root: float) -> None:
-    coeffs = (
-        2.0 * p.alpha,
-        -2.0 * p.alpha * (p.d + p.x),
-        2.0 * p.alpha * p.x * p.d - (p.gamma * p.n / p.zeta) * (p.r_s - p.r_d),
-    )
-    res = (coeffs[0] * root + coeffs[1]) * root + coeffs[2]
-    scale = max(1.0, max(abs(c) for c in coeffs))
-    if abs(res) > ROOT_RESIDUAL_TOL * scale:
-        raise NumericalContractError(
-            f"quadratic residual {res!r} exceeds {ROOT_RESIDUAL_TOL} * {scale}"
-        )
+def _residual_check(P: ParamBatch, roots, rows, errors: RowErrors, two_alpha, d_plus_x) -> None:
+    """Rows in the ``rows`` mask fail when a root (a first, then b)
+    leaves the quadratic's residual contract."""
+    c1 = -two_alpha * d_plus_x
+    c2 = two_alpha * P.x * P.d - (P.gn / P.zeta) * P.dr
+    res = (two_alpha * roots + c1) * roots + c2
+    size = np.abs(res)
+    # The bound, ROOT_RESIDUAL_TOL * max(1, |c0|, |c1|, |c2|), is never
+    # below ROOT_RESIDUAL_TOL, so smaller residuals pass without it.
+    if not np.count_nonzero(size > ROOT_RESIDUAL_TOL):
+        return
+    # Where a coefficient is NaN, so is the residual, and no comparison
+    # with it holds whatever the scale.
+    scale = np.maximum(np.abs(np.array([two_alpha, c1, c2])).max(axis=0), 1.0)
+    bad = rows & (size > ROOT_RESIDUAL_TOL * scale)
+    errors.add(bad[0] | bad[1], lambda i: NumericalContractError(
+        f"quadratic residual {res[0 if bad[0, i] else 1, i].item()!r} "
+        f"exceeds {ROOT_RESIDUAL_TOL} * {scale[i].item()}"))
+
+
+def quadratic_arrays(P: ParamBatch, errors: RowErrors):
+    """(discriminant, real, roots) of every row: ``roots`` holds a and b,
+    NaN where they are complex.
+
+    ``a`` is always the '+' root of the closed form. The smaller root is
+    recovered from the product of roots to avoid cancellation, and rows
+    with r_s == r_d take the exact values max(d, x) and min(d, x).
+    """
+    disc = discriminant_arrays(P, errors)
+    real = solved = ~(disc < 0.0)
+    if P.any_equal:
+        real, solved = real | P.equal, real & ~P.equal
+    if np.count_nonzero(solved):
+        # Rows with disc < 0 get NaN roots from the square root.
+        two_alpha = 2.0 * P.alpha
+        d_plus_x = P.d + P.x
+        mid = 0.5 * d_plus_x
+        half = 0.5 * np.sqrt(disc)
+        a = mid + half
+        product = P.x * P.d - P.gn * P.dr / (two_alpha * P.zeta)
+        b = product / a
+        if np.count_nonzero(a == 0.0):
+            b = np.where(a == 0.0, mid - half, b)
+        roots = np.array([a, b])
+        _residual_check(P, roots, solved, errors, two_alpha, d_plus_x)
+    else:
+        roots = np.full((2, len(P)), np.nan)
+    if P.any_equal:
+        roots = np.where(P.equal, np.array([where_max(P.d, P.x), where_min(P.d, P.x)]), roots)
+    return disc, real, roots
 
 
 def solve_quadratic(p: ModelParams) -> QuadraticRoots:
@@ -125,32 +249,79 @@ def solve_quadratic(p: ModelParams) -> QuadraticRoots:
     r_s == r_d case short-circuits to the exact values max(d, x) and
     min(d, x).
     """
-    disc = quadratic_discriminant(p)
-    if p.r_s == p.r_d:
-        # Correction term is exactly zero; keep the roots exact.
-        return QuadraticRoots(a=max(p.d, p.x), b=min(p.d, p.x), discriminant=disc)
-    if disc < 0.0:
-        return QuadraticRoots(a=None, b=None, discriminant=disc)
-    mid = 0.5 * (p.d + p.x)
-    half = 0.5 * math.sqrt(disc)
-    a = mid + half
-    if a == 0.0:
-        b = mid - half
-    else:
-        product = p.x * p.d - p.gamma * p.n * (p.r_s - p.r_d) / (2.0 * p.alpha * p.zeta)
-        b = product / a
-    _residual_check(p, a)
-    _residual_check(p, b)
-    return QuadraticRoots(a=a, b=b, discriminant=disc)
+    disc, real, roots = one_row(quadratic_arrays, ParamBatch.of([p]))
+    if not real[0]:
+        return QuadraticRoots(a=None, b=None, discriminant=disc[0].item())
+    a, b = roots[:, 0].tolist()
+    return QuadraticRoots(a=a, b=b, discriminant=disc[0].item())
 
 
-def _profile_at_root(p: ModelParams, root: float) -> Optional[OpinionProfile]:
-    if p.r_s == p.r_d:
-        return OpinionProfile.uniform(root, root, p.n)
-    if abs(root - p.d) <= EPS_DEN:
-        return None
-    c = (p.r_s - p.r_d) / (2.0 * p.zeta * (root - p.d)) + root
-    return OpinionProfile.uniform(c, root, p.n)
+def _customer_at(P: ParamBatch, root):
+    """(present, c): the customer coordinate of the profile at ``root``,
+    absent at the s = d singularity unless r_s == r_d (then c = s)."""
+    offset = root - P.d
+    present = ~(np.abs(offset) <= EPS_DEN)
+    c = P.dr / (2.0 * P.zeta * offset) + root
+    if P.any_equal:
+        present, c = present | P.equal, np.where(P.equal, root, c)
+    return present, c
+
+
+def threshold_arrays(P: ParamBatch):
+    """(r_d_1, r_d_2) of every row."""
+    span = P.x - P.d
+    span_sq, alpha_sq, ratio_sq = power(np.array([span, P.alpha, span / (P.alpha + P.gn)]), 2)
+    return P.alpha * P.zeta / (2.0 * P.gn) * span_sq, 2.0 * P.zeta * alpha_sq * ratio_sq
+
+
+def check_thresholds(r_d_1, r_d_2, rows, errors: RowErrors) -> None:
+    """Rows in the ``rows`` mask fail where a threshold is not finite."""
+    errors.add(rows & ~(np.isfinite(r_d_1) & np.isfinite(r_d_2)), lambda i: NumericalContractError(
+        f"admissibility thresholds r_d_1 = {r_d_1[i].item()!r}, r_d_2 = {r_d_2[i].item()!r} are not finite"))
+
+
+def _region_verdicts(P: ParamBatch, r_d_1, r_d_2):
+    """The (star, dagger) verdicts of the closed-form windows."""
+    weak = P.alpha < P.gn
+    low_1 = P.r_d - r_d_1 <= P.r_s
+    low_2 = P.r_d - r_d_2
+    opens = P.d < P.x
+    star = opens & (P.r_s < P.r_d) & np.where(weak, low_1, low_2 <= P.r_s)
+    dagger = opens & weak & low_1 & (P.r_s <= low_2)
+    return np.array([star, dagger])
+
+
+def equilibrium_arrays(P: ParamBatch, errors: RowErrors) -> EquilibriumArrays:
+    """P* and P+ of every row, with their geometric and region verdicts.
+
+    Stages that no row of the batch needs are skipped.
+    """
+    disc, real, roots = quadratic_arrays(P, errors)
+    region = real & ~P.equal if P.any_equal else real
+    present, geometric, region_verdict = np.zeros((3, 2, len(P)), dtype=bool)
+    c, thresholds = roots, None
+    real_rows = np.count_nonzero(real)
+    if real_rows:
+        present, c = _customer_at(P, roots)
+        if real_rows < len(P):
+            present &= real
+        geometric = present & (c >= P.d) & (c <= roots) & (roots <= 1.0)
+    if np.count_nonzero(region):
+        thresholds = threshold_arrays(P)
+        check_thresholds(*thresholds, region, errors)
+        region_verdict = _region_verdicts(P, *thresholds)
+    return EquilibriumArrays(
+        disc=disc,
+        real=real,
+        degenerate=real & (roots[0] == roots[1]),
+        roots=roots,
+        present=present,
+        c=c,
+        geometric=geometric,
+        region=region,
+        region_verdict=region_verdict,
+        thresholds=thresholds,
+    )
 
 
 def nash_equilibria(p: ModelParams) -> EquilibriumPair:
@@ -160,53 +331,20 @@ def nash_equilibria(p: ModelParams) -> EquilibriumPair:
     and marked inadmissible rather than suppressed, so parameter sweeps
     can show their excursion out of the feasible region.
     """
-    roots = solve_quadratic(p)
-    if not roots.real:
-        return EquilibriumPair(
-            p_star=None,
-            p_dagger=None,
-            star_admissible=False,
-            dagger_admissible=False,
-            admissibility_source=AdmissibilitySource.GEOMETRIC,
-            roots=roots,
-        )
-
-    p_star = _profile_at_root(p, roots.a)
-    degenerate = roots.degenerate
-    p_dagger = p_star if degenerate else _profile_at_root(p, roots.b)
-
-    star_geo = p_star is not None and p_star.in_domain(p.d)
-    dagger_geo = p_dagger is not None and p_dagger.in_domain(p.d)
-
-    star_region = dagger_region = None
-    source = AdmissibilitySource.GEOMETRIC
-    if p.r_s != p.r_d:
-        star_region, dagger_region, _ = check_admissibility_regions(p)
-        if star_region == star_geo and dagger_region == dagger_geo:
-            source = AdmissibilitySource.BOTH
-
-    return EquilibriumPair(
-        p_star=p_star,
-        p_dagger=p_dagger,
-        star_admissible=star_geo,
-        dagger_admissible=dagger_geo,
-        admissibility_source=source,
-        roots=roots,
-        degenerate=degenerate,
-        star_geometric=star_geo,
-        dagger_geometric=dagger_geo,
-        star_region=star_region,
-        dagger_region=dagger_region,
-    )
+    return one_row(equilibrium_arrays, ParamBatch.of([p])).pair(0, p.n)
 
 
 def admissibility_thresholds(p: ModelParams) -> AdmissibilityThresholds:
-    gn = p.gamma * p.n
-    span = p.x - p.d
-    return AdmissibilityThresholds(
-        r_d_1=p.alpha * p.zeta / (2.0 * gn) * span**2,
-        r_d_2=2.0 * p.zeta * p.alpha**2 * (span / (p.alpha + gn)) ** 2,
-    )
+    """The r_s windows below r_d in which P* and P+ stay feasible; raises
+    NumericalContractError when a threshold is not finite."""
+
+    def kernel(P, errors):
+        r_d_1, r_d_2 = threshold_arrays(P)
+        check_thresholds(r_d_1, r_d_2, True, errors)
+        return r_d_1, r_d_2
+
+    r_d_1, r_d_2 = one_row(kernel, ParamBatch.of([p]))
+    return AdmissibilityThresholds(r_d_1=r_d_1[0].item(), r_d_2=r_d_2[0].item())
 
 
 def check_admissibility_regions(p: ModelParams):
@@ -216,16 +354,15 @@ def check_admissibility_regions(p: ModelParams):
     """
     if p.r_s == p.r_d:
         raise EqualReturns("region formulas require r_s != r_d")
-    thr = admissibility_thresholds(p)
-    gn = p.gamma * p.n
-    star = dagger = False
-    if p.d < p.x:
-        if p.alpha < gn:
-            star = p.r_d - thr.r_d_1 <= p.r_s < p.r_d
-            dagger = p.r_d - thr.r_d_1 <= p.r_s <= p.r_d - thr.r_d_2
-        else:
-            star = p.r_d - thr.r_d_2 <= p.r_s < p.r_d
-    return star, dagger, thr
+
+    def kernel(P, errors):
+        r_d_1, r_d_2 = threshold_arrays(P)
+        check_thresholds(r_d_1, r_d_2, True, errors)
+        return r_d_1, r_d_2, _region_verdicts(P, r_d_1, r_d_2)
+
+    r_d_1, r_d_2, verdicts = one_row(kernel, ParamBatch.of([p]))
+    star, dagger = verdicts[:, 0].tolist()
+    return star, dagger, AdmissibilityThresholds(r_d_1=r_d_1[0].item(), r_d_2=r_d_2[0].item())
 
 
 def limit_equilibria(p: ModelParams, which: LimitRegime):
@@ -258,6 +395,46 @@ def limit_equilibria(p: ModelParams, which: LimitRegime):
     raise ValueError(f"unknown limit regime {which!r}")
 
 
+def critical_zeta_arrays(P: ParamBatch, errors: RowErrors):
+    """(zeta_bar, last useful stated opinion, positive) of every row, for
+    rows with n = 1 and x != d.
+
+    Where zeta_bar > 0 and d < x, the equilibria are solved again at
+    zeta_bar, and one customer coordinate must sit on c = d there: the
+    lower branch when alpha <= gamma, the upper branch otherwise (the
+    face-hitting root switches with the sign of alpha - gamma).
+    """
+    gap_sq, ratio_sq = power(np.array([P.x - P.d, (P.alpha + P.gamma) / P.alpha]), 2)
+    errors.add(gap_sq == 0.0, lambda i: DegenerateDenominator(
+        f"the critical dissonance value needs (x - d)^2 > 0, got {gap_sq[i].item()!r}"))
+    zeta_bar = -0.5 * ratio_sq * P.dr / gap_sq
+    errors.add(~np.isfinite(zeta_bar), lambda i: DegenerateDenominator(
+        f"the critical dissonance value overflows at (x - d)^2 = {gap_sq[i].item()!r}"))
+    last = 0.5 * (P.d + P.x) - 0.5 * np.abs((P.d - P.x) * (P.alpha - P.gamma)) / (P.alpha + P.gamma)
+    positive = zeta_bar > 0.0
+    rows = np.flatnonzero(positive & (P.d < P.x) & np.isfinite(zeta_bar))
+    if rows.size:
+        Q = P.take(rows).replace(zeta=zeta_bar[rows])
+        at_bar_errors = RowErrors()
+        at_bar = equilibrium_arrays(Q, at_bar_errors)
+        errors.merge(at_bar_errors, rows)
+        # alpha = gamma makes the discriminant at zeta_bar exactly zero;
+        # rounding can push it barely negative. Use the double root.
+        has_star, has_dagger = at_bar.present
+        neither = ~has_star & ~has_dagger
+        has_mid, c_mid = _customer_at(Q, 0.5 * (Q.d + Q.x))
+        has_mid &= neither & (at_bar.disc > -CRITICAL_ZETA_TOL)
+        vanished = neither & ~has_mid
+        errors.add(vanished, lambda i: NumericalContractError(
+            "both equilibria vanished at the critical dissonance value"), rows)
+        miss_star, miss_dagger = np.abs(at_bar.c - Q.d)
+        miss = np.where(has_star, miss_star, np.where(has_dagger, miss_dagger, np.abs(c_mid - Q.d)))
+        miss = np.where(has_star & has_dagger, where_min(miss_star, miss_dagger), miss)
+        errors.add(~vanished & (miss > CRITICAL_ZETA_TOL), lambda i: NumericalContractError(
+            f"no customer coordinate is on c = d at zeta_bar (miss {miss[i].item()!r})"), rows)
+    return zeta_bar, last, positive
+
+
 def critical_zeta(p: ModelParams) -> CriticalZeta:
     """Dissonance threshold past which P+ leaves the acceptance triangle.
 
@@ -266,37 +443,9 @@ def critical_zeta(p: ModelParams) -> CriticalZeta:
     """
     if p.n != 1:
         raise UnsupportedN("the critical dissonance value is stated for n = 1")
-    gap_sq = (p.x - p.d) ** 2
-    if gap_sq == 0.0:
-        raise DegenerateDenominator(f"the critical dissonance value needs (x - d)^2 > 0, got {gap_sq!r}")
-    zeta_bar = -0.5 * ((p.alpha + p.gamma) / p.alpha) ** 2 * (p.r_s - p.r_d) / gap_sq
-    if not math.isfinite(zeta_bar):
-        raise DegenerateDenominator(f"the critical dissonance value overflows at (x - d)^2 = {gap_sq!r}")
-    last = (
-        0.5 * (p.d + p.x) - 0.5 * abs((p.d - p.x) * (p.alpha - p.gamma)) / (p.alpha + p.gamma),
-        p.d,
+    zeta_bar, last, positive = one_row(critical_zeta_arrays, ParamBatch.of([p]))
+    return CriticalZeta(
+        zeta_bar=zeta_bar[0].item(),
+        last_useful_equilibrium=(last[0].item(), p.d),
+        positive=bool(positive[0]),
     )
-    positive = zeta_bar > 0.0
-    if positive and p.d < p.x:
-        # At zeta = zeta_bar one equilibrium's customer coordinate must sit
-        # on c = d: the lower branch when alpha <= gamma, the upper branch
-        # otherwise (the face-hitting root switches with the sign of
-        # alpha - gamma).
-        at_bar = nash_equilibria(p.replace(zeta=zeta_bar))
-        profiles = [q for q in (at_bar.p_star, at_bar.p_dagger) if q is not None]
-        if not profiles and at_bar.roots.discriminant > -CRITICAL_ZETA_TOL:
-            # alpha = gamma makes the discriminant at zeta_bar exactly zero;
-            # rounding can push it barely negative. Use the double root.
-            mid = 0.5 * (p.d + p.x)
-            at_mid = _profile_at_root(p.replace(zeta=zeta_bar), mid)
-            profiles = [at_mid] if at_mid is not None else []
-        if not profiles:
-            raise NumericalContractError(
-                "both equilibria vanished at the critical dissonance value"
-            )
-        miss = min(abs(q.c[0] - p.d) for q in profiles)
-        if miss > CRITICAL_ZETA_TOL:
-            raise NumericalContractError(
-                f"no customer coordinate is on c = d at zeta_bar (miss {miss!r})"
-            )
-    return CriticalZeta(zeta_bar=zeta_bar, last_useful_equilibrium=last, positive=positive)

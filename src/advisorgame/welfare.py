@@ -9,28 +9,35 @@ the welfare is separable and strictly concave in each c_i with identical
 coefficients, so the maximizer over the customers has all c_i equal or
 pinned to the same face; the symmetric reduction is therefore exact for
 homogeneous parameters.
+
+As in ``equilibria``, the closed forms are written once over a
+``ParamBatch`` (the ``*_arrays`` kernels) and the public functions run
+them on a batch of one.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from .batch import ParamBatch, RowErrors, one_row, power, repeat_sum, where_max, where_min
 from .errors import (
+    DegenerateDenominator,
     DegenerateLeadingCoefficient,
     MissingEquilibrium,
     NumericalContractError,
 )
-from .model import social_welfare
 from .params import EPS_DEN, ModelParams, OpinionProfile
-from .equilibria import EquilibriumPair, nash_equilibria
+from .equilibria import EquilibriumArrays, EquilibriumPair, equilibrium_arrays
 
 QUARTIC_RESIDUAL_TOL = 1e-8
 REAL_ROOT_IMAG_TOL = 1e-9
 POS_TIE_TOL = 1e-12
+
+LOCATIONS = ("interior", "face:c=d", "face:s=1", "face:c=s")
 
 
 class PosFlag(enum.Enum):
@@ -69,27 +76,150 @@ class WelfareReport:
     quartic: QuarticAnalysis
 
 
-def quartic_coefficients(p: ModelParams) -> Tuple[float, float, float, float, float]:
-    """(omega_0, ..., omega_4) of the interior-stationarity quartic in y = s - d."""
-    gz = p.gamma + p.zeta
-    bgz = p.beta + gz
-    return (
-        p.n * (p.r_d - p.r_s) ** 2,
-        2.0 * p.beta * p.n * (p.r_d - p.r_s) * (p.d - p.w),
-        0.0,
-        4.0 * (p.beta * p.n * (p.d - p.w) * gz + p.alpha * (p.d - p.x) * bgz),
-        4.0 * (p.beta * p.n * gz + p.alpha * bgz),
+class QuarticArrays(NamedTuple):
+    """Coefficients, invariants and polished roots of every row's quartic."""
+
+    omega: np.ndarray  # (rows, 5): omega_0 .. omega_4
+    delta_big: np.ndarray
+    d_big: np.ndarray
+    p_big: np.ndarray
+    r_big: np.ndarray
+    roots: np.ndarray  # (rows, 4) complex, in the order np.roots gives them
+    near_real: np.ndarray  # (rows, 4): |Im| <= REAL_ROOT_IMAG_TOL (1 + |Re|)
+
+    def analysis(self, i: int) -> QuarticAnalysis:
+        omega = tuple(self.omega[i].tolist())
+        w0, w1, _w2, w3, w4 = omega
+        delta_big, d_big = self.delta_big[i].item(), self.d_big[i].item()
+        return QuarticAnalysis(
+            omega=omega,
+            delta_big=delta_big,
+            d_big=d_big,
+            p_big=self.p_big[i].item(),
+            r_big=self.r_big[i].item(),
+            roots=tuple(self.roots[i]),
+            all_nonreal=not self.near_real[i].any(),
+            omega_member=(
+                w4 - abs(w1) - abs(w3) + w0 > 0.0
+                and 4.0 * w4 - abs(w1) - 3.0 * abs(w3) < 0.0
+                and (delta_big <= 0.0 or d_big <= 0.0)
+            ),
+            sign_precondition_ok=w0 > 0.0 and w4 > 0.0 and w1 * w3 > 0.0,
+        )
+
+
+def coefficient_arrays(P: ParamBatch) -> np.ndarray:
+    """(omega_0, ..., omega_4) of the interior-stationarity quartic in
+    y = s - d, one row per game."""
+    gz = P.gamma + P.zeta
+    bgz = P.beta + gz
+    return np.stack(
+        [
+            P.n * power(P.r_d - P.r_s, 2),
+            2.0 * P.beta * P.n * (P.r_d - P.r_s) * (P.d - P.w),
+            np.zeros(len(P)),
+            4.0 * (P.beta * P.n * (P.d - P.w) * gz + P.alpha * (P.d - P.x) * bgz),
+            4.0 * (P.beta * P.n * gz + P.alpha * bgz),
+        ],
+        axis=1,
     )
 
 
-def _poly_eval(omega, z):
-    w0, w1, w2, w3, w4 = omega
-    return (((w4 * z + w3) * z + w2) * z + w1) * z + w0
+def quartic_coefficients(p: ModelParams) -> Tuple[float, float, float, float, float]:
+    """(omega_0, ..., omega_4) of the interior-stationarity quartic in y = s - d."""
+    return tuple(coefficient_arrays(ParamBatch.of([p]))[0].tolist())
 
 
-def _poly_deriv(omega, z):
-    w0, w1, w2, w3, w4 = omega
-    return ((4.0 * w4 * z + 3.0 * w3) * z + 2.0 * w2) * z + w1
+def _check_finite(omega: np.ndarray, errors: RowErrors) -> np.ndarray:
+    """Rows whose coefficients are not all finite fail; returns the others."""
+    finite = np.isfinite(omega).all(axis=1)
+    errors.add(~finite, lambda i: NumericalContractError(
+        f"quartic coefficients {tuple(omega[i].tolist())!r} are not finite"))
+    return finite
+
+
+def _near_real(roots: np.ndarray) -> np.ndarray:
+    return np.abs(roots.imag) <= REAL_ROOT_IMAG_TOL * (1.0 + np.abs(roots.real))
+
+
+def root_arrays(omega: np.ndarray, errors: RowErrors) -> np.ndarray:
+    """All four complex roots of every row's quartic, with multiplicity.
+
+    Roots come from companion matrices, as ``np.roots`` builds them
+    (trailing zero coefficients are dropped and give zero roots), with one
+    batched ``eigvals`` per matrix size; near-real roots are polished with
+    up to four Newton steps on the real axis. The residual contract is
+    |p(root)| <= 1e-8 * sum|omega_i| * max(1, |root|)^4; the magnitude
+    factor only matters for roots far outside the unit disc, where bare
+    evaluation round-off already exceeds the unscaled bound.
+    """
+    leading = omega[:, 4]
+    tiny = np.abs(leading) <= 1e-300
+    errors.add(tiny, lambda i: DegenerateLeadingCoefficient(f"leading coefficient {leading[i].item()!r}"))
+    solvable = _check_finite(omega, errors) & ~tiny
+    roots = np.full((len(omega), 4), np.nan, dtype=complex)
+    trailing, sizes = np.zeros(len(omega), dtype=np.intp), [0]
+    if np.count_nonzero(omega[:, 0] == 0.0):
+        trailing = np.cumprod(omega[:, :4] == 0.0, axis=1).sum(axis=1)
+        sizes = np.unique(trailing).tolist()
+    for zeros in sizes:
+        rows = solvable & (trailing == zeros)
+        size = 4 - zeros
+        roots[rows, size:] = 0.0
+        if size and np.count_nonzero(rows):
+            lead = omega[rows][:, :zeros - 1 if zeros else None:-1]  # omega_4 down to the last nonzero
+            companion = np.zeros((len(lead), size, size))
+            companion[:, 0, :] = -lead[:, 1:] / lead[:, :1]
+            below = np.arange(size - 1)
+            companion[:, below + 1, below] = 1.0
+            roots[rows, :size] = np.linalg.eigvals(companion)
+
+    w0, w1, w2, w3, w4 = omega.T[:, :, None]
+    near = _near_real(roots)
+    if np.count_nonzero(near):
+        z = roots.real.copy()
+        active = near.copy()
+        w4_4, w3_3, w2_2 = 4.0 * w4, 3.0 * w3, 2.0 * w2
+        for _ in range(4):
+            slope = ((w4_4 * z + w3_3) * z + w2_2) * z + w1
+            active &= slope != 0.0
+            step = ((((w4 * z + w3) * z + w2) * z + w1) * z + w0) / slope
+            z = np.where(active, z - step, z)
+            active &= ~(np.abs(step) <= 1e-16 * (1.0 + np.abs(z)))
+            if not np.count_nonzero(active):
+                break
+        roots.real[near] = z[near]
+        roots.imag[near] = 0.0
+
+    # The residual as numpy's complex scalars evaluate it, one rounding per
+    # operation: (w + 0j) * z leaves w * z, and adding a real coefficient
+    # leaves the imaginary part. (numpy's vectorized complex product fuses
+    # its multiply-adds and differs in the last bit.)
+    re, im = roots.real, roots.imag
+    acc_re, acc_im = w4 * re, w4 * im
+    for w in (w3, w2, w1):
+        acc_re = acc_re + w
+        acc_re, acc_im = acc_re * re - acc_im * im, acc_re * im + acc_im * re
+    residual = np.hypot(acc_re + w0, acc_im)
+    modulus = np.hypot(re, im)
+    far = modulus > 1.0
+    growth = np.ones_like(modulus)
+    if np.count_nonzero(far):
+        growth[far] = power(modulus[far], 4)
+    tol = (QUARTIC_RESIDUAL_TOL * np.abs(omega).sum(axis=1))[:, None] * growth
+    bad = solvable[:, None] & (residual > tol)
+
+    def violation(i):
+        j = int(np.argmax(bad[i]))
+        bound = np.float64(tol[i, j]) if far[i, j] else tol[i, j].item()
+        return NumericalContractError(f"quartic residual at root {roots[i, j]!r} exceeds {bound!r}")
+
+    errors.add(bad.any(axis=1), violation)
+    return roots
+
+
+def _coefficient_row(omega) -> np.ndarray:
+    return np.array([[float(v) for v in omega]])
 
 
 def solve_quartic(omega) -> np.ndarray:
@@ -99,36 +229,40 @@ def solve_quartic(omega) -> np.ndarray:
     with a few Newton steps on the real axis. The residual contract is
     |p(root)| <= 1e-8 * sum|omega_i| * max(1, |root|)^4; the magnitude
     factor only matters for roots far outside the unit disc, where bare
-    evaluation round-off already exceeds the unscaled bound.
+    evaluation round-off already exceeds the unscaled bound. Coefficients
+    that are not finite raise NumericalContractError.
     """
-    omega = tuple(float(v) for v in omega)
-    if abs(omega[4]) <= 1e-300:
-        raise DegenerateLeadingCoefficient(f"leading coefficient {omega[4]!r}")
-    roots = np.roots([omega[4], omega[3], omega[2], omega[1], omega[0]])
-    roots = np.asarray(roots, dtype=complex)
-    scale = sum(abs(v) for v in omega)
-    polished = []
-    for r in roots:
-        if abs(r.imag) <= REAL_ROOT_IMAG_TOL * (1.0 + abs(r.real)):
-            z = r.real
-            for _ in range(4):
-                dp = _poly_deriv(omega, z)
-                if dp == 0.0:
-                    break
-                step = _poly_eval(omega, z) / dp
-                z -= step
-                if abs(step) <= 1e-16 * (1.0 + abs(z)):
-                    break
-            r = complex(z, 0.0)
-        polished.append(r)
-    roots = np.array(polished, dtype=complex)
-    for r in roots:
-        tol = QUARTIC_RESIDUAL_TOL * scale * max(1.0, abs(r)) ** 4
-        if abs(_poly_eval(omega, r)) > tol:
-            raise NumericalContractError(
-                f"quartic residual at root {r!r} exceeds {tol!r}"
-            )
-    return roots
+    return one_row(root_arrays, _coefficient_row(omega))[0]
+
+
+def quartic_arrays(omega: np.ndarray, errors: RowErrors) -> QuarticArrays:
+    """Invariants and roots of every row's quartic.
+
+    A row fails with NumericalContractError when its coefficients or its
+    invariants are not finite.
+    """
+    _check_finite(omega, errors)
+    w0, w1, _w2, w3, w4 = omega.T
+    w0_2, w1_2, w3_2, w4_2 = power(omega.T[[0, 1, 3, 4]], 2)
+    w0_3, w1_3, w3_3, w4_3 = power(omega.T[[0, 1, 3, 4]], 3)
+    w1_4, w3_4 = power(omega.T[[1, 3]], 4)
+    delta_big = (
+        256.0 * w4_3 * w0_3
+        - 192.0 * w4_2 * w3 * w1 * w0_2
+        - 27.0 * w4_2 * w1_4
+        - 6.0 * w4 * w3_2 * w1_2 * w0
+        - 27.0 * w3_4 * w0_2
+        - 4.0 * w3_3 * w1_3
+    )
+    d_big = 64.0 * w4_3 * w0 - 16.0 * w4_2 * w3 * w1 - 3.0 * w3_4
+    p_big = -3.0 * w3_2
+    r_big = w3_3 + 8.0 * w1 * w4_2
+    invariants = (delta_big, d_big, p_big, r_big)
+    errors.add(~np.logical_and.reduce([np.isfinite(v) for v in invariants]), lambda i: NumericalContractError(
+        "quartic invariants Delta, D, P, R = "
+        f"{tuple(v[i].item() for v in invariants)!r} are not finite"))
+    roots = root_arrays(omega, errors)
+    return QuarticArrays(omega, delta_big, d_big, p_big, r_big, roots, _near_real(roots))
 
 
 def classify_quartic(omega) -> QuarticAnalysis:
@@ -136,7 +270,8 @@ def classify_quartic(omega) -> QuarticAnalysis:
 
     The all-nonreal verdict always comes from the computed roots; the
     sign-based equivalence (Delta > 0 and D > 0) is recorded for
-    cross-checking but never trusted on its own.
+    cross-checking but never trusted on its own. Coefficients or
+    invariants that are not finite raise NumericalContractError.
 
     ``omega_member`` tests the coefficients against the region Omega and
     says nothing about the roots by itself. What holds for members is
@@ -144,40 +279,7 @@ def classify_quartic(omega) -> QuarticAnalysis:
     non-real conjugate pairs may lie inside it, so the claim that every
     root of a member leaves the unit disc is false.
     """
-    omega = tuple(float(v) for v in omega)
-    w0, w1, _w2, w3, w4 = omega
-    delta_big = (
-        256.0 * w4**3 * w0**3
-        - 192.0 * w4**2 * w3 * w1 * w0**2
-        - 27.0 * w4**2 * w1**4
-        - 6.0 * w4 * w3**2 * w1**2 * w0
-        - 27.0 * w3**4 * w0**2
-        - 4.0 * w3**3 * w1**3
-    )
-    d_big = 64.0 * w4**3 * w0 - 16.0 * w4**2 * w3 * w1 - 3.0 * w3**4
-    p_big = -3.0 * w3**2
-    r_big = w3**3 + 8.0 * w1 * w4**2
-    roots = solve_quartic(omega)
-    all_nonreal = not any(
-        abs(r.imag) <= REAL_ROOT_IMAG_TOL * (1.0 + abs(r.real)) for r in roots
-    )
-    omega_member = (
-        w4 - abs(w1) - abs(w3) + w0 > 0.0
-        and 4.0 * w4 - abs(w1) - 3.0 * abs(w3) < 0.0
-        and (delta_big <= 0.0 or d_big <= 0.0)
-    )
-    sign_ok = w0 > 0.0 and w4 > 0.0 and w1 * w3 > 0.0
-    return QuarticAnalysis(
-        omega=omega,
-        delta_big=delta_big,
-        d_big=d_big,
-        p_big=p_big,
-        r_big=r_big,
-        roots=tuple(roots),
-        all_nonreal=all_nonreal,
-        omega_member=omega_member,
-        sign_precondition_ok=sign_ok,
-    )
+    return one_row(quartic_arrays, _coefficient_row(omega)).analysis(0)
 
 
 def boundary_membership(p: ModelParams, q: OpinionProfile, tol: float = 1e-12) -> bool:
@@ -202,10 +304,173 @@ def boundary_membership(p: ModelParams, q: OpinionProfile, tol: float = 1e-12) -
     )
 
 
-def _stationary_customer(p: ModelParams, s: float) -> float:
-    ratio = 0.0 if p.r_s == p.r_d else (p.r_s - p.r_d) / (s - p.d)
-    gz = p.gamma + p.zeta
-    return (2.0 * p.beta * p.w + 2.0 * gz * s + ratio) / (2.0 * p.beta + 2.0 * gz)
+def _stationary_customer(P: ParamBatch, s, ratio):
+    """The customers' stationary opinion at stated opinion ``s``, where
+    ``ratio`` is (r_s - r_d) / (s - d) (0 when r_s == r_d)."""
+    gz = P.gamma + P.zeta
+    return (2.0 * P.beta * P.w + 2.0 * gz * s + ratio) / (2.0 * P.beta + 2.0 * gz)
+
+
+def _uniform_welfare(P: ParamBatch, c, s):
+    """``model.social_welfare`` at the all-equal profiles (c, s), with
+    its sums over the n customers; rows must keep s - d off 0 unless
+    r_s == r_d."""
+    sums = repeat_sum(np.array([np.square(P.w - c), np.square(s - c), c - P.d]).T, P.n)
+    base = (
+        -P.alpha * power(s - P.x, 2)
+        - P.beta * sums[:, 0]
+        - (P.gamma + P.zeta) * sums[:, 1]
+        + P.r_d * P.n
+    )
+    return np.where(P.equal, base, base + P.dr / (s - P.d) * sums[:, 2])
+
+
+class WelfareArrays(NamedTuple):
+    """The welfare optimum and PoS bookkeeping of every row of a batch.
+
+    ``location`` indexes ``LOCATIONS``; ``sw_at_star``/``sw_at_dagger``
+    are meaningful where that equilibrium is admissible, and ``pos`` where
+    no flag is set.
+    """
+
+    sw_max: np.ndarray
+    location: np.ndarray
+    arg_c: np.ndarray
+    arg_s: np.ndarray
+    sw_at_star: np.ndarray
+    sw_at_dagger: np.ndarray
+    pos: np.ndarray
+    no_equilibria: np.ndarray
+    negative: np.ndarray
+    zero: np.ndarray
+    equilibria: EquilibriumArrays
+    quartic: QuarticArrays
+
+    def report(self, i: int, n: int) -> WelfareReport:
+        eq = self.equilibria.pair(i, n)
+        flags = set()
+        if self.no_equilibria[i]:
+            flags.add(PosFlag.NO_EQUILIBRIA)
+        if self.negative[i]:
+            flags.add(PosFlag.NEGATIVE_DENOMINATOR)
+        elif self.zero[i]:
+            flags.add(PosFlag.ZERO_DENOMINATOR)
+        return WelfareReport(
+            sw_max=self.sw_max[i].item(),
+            argmax=OpinionProfile.uniform(self.arg_c[i], self.arg_s[i], n),
+            location=LOCATIONS[self.location[i]],
+            sw_at_star=self.sw_at_star[i].item() if eq.star_admissible else None,
+            sw_at_dagger=self.sw_at_dagger[i].item() if eq.dagger_admissible else None,
+            pos=None if flags else self.pos[i].item(),
+            pos_flags=frozenset(flags),
+            equilibria=eq,
+            quartic=self.quartic.analysis(i),
+        )
+
+
+def welfare_arrays(P: ParamBatch, errors: RowErrors) -> WelfareArrays:
+    """Global welfare maximum of every row, plus PoS bookkeeping.
+
+    Interior candidates are the real quartic roots y in (0, 1 - d] with
+    their reconstructed customer coordinate inside (d, s); the three
+    symmetric faces are each solved in closed form: the welfare along a
+    face is a concave quadratic, maximized at its vertex clamped to the
+    face's interval.
+    """
+    quartic = quartic_arrays(coefficient_arrays(P), errors)
+    size = len(P)
+    gz = P.gamma + P.zeta
+
+    y = quartic.roots.real
+    rows, cols = np.nonzero(quartic.near_real & (EPS_DEN < y) & (y <= 1.0 - P.d[:, None] + 1e-15))
+    c = s = np.zeros(0)
+    if rows.size:
+        at = P.take(rows)
+        s = at.d + y[rows, cols]
+        c = _stationary_customer(at, s, np.where(at.equal, 0.0, at.dr / (s - at.d)))
+        inside = (at.d < c) & (c < s)
+        rows, cols, c, s = rows[inside], cols[inside], c[inside], where_min(s[inside], 1.0)
+        singular = ~P.equal[rows] & (np.abs(s - P.d[rows]) <= EPS_DEN)
+        errors.add(singular, lambda i: DegenerateDenominator(
+            f"s = {s[i].item()} is within {EPS_DEN} of d = {P.d[rows[i]].item()}"), rows)
+
+    # Face c = d: the interpolation term is exactly zero.
+    gzn, bn = gz * P.n, P.beta * P.n
+    s_cd = where_min(where_max((P.alpha * P.x + gzn * P.d) / (P.alpha + gzn), P.d), 1.0)
+    # Face s = 1 (skipped when the domain collapses to the corner d = 1).
+    top = 1.0 - P.d > EPS_DEN
+    slope = np.where(P.equal, 0.0, P.dr / (1.0 - P.d))
+    c_top = where_min(where_max(_stationary_customer(P, 1.0, slope), P.d), 1.0)
+    # Face c = s: the interpolation term equals n (r_s - r_d) identically.
+    lo = np.where(P.equal, P.d, where_min(P.d + 1e-9, 1.0))
+    s_cs = where_min(where_max((P.alpha * P.x + bn * P.w) / (P.alpha + bn), lo), 1.0)
+    sq = power(np.array([
+        s_cd - P.x, P.w - P.d, s_cd - P.d,
+        1.0 - P.x, P.w - c_top, 1.0 - c_top,
+        s_cs - P.x, P.w - s_cs,
+    ]), 2)
+    r_dn = P.r_d * P.n
+    f_cd = -P.alpha * sq[0] - bn * sq[1] - gzn * sq[2] + r_dn
+    f_top = -P.alpha * sq[3] - bn * sq[4] - gzn * sq[5] + r_dn + slope * P.n * (c_top - P.d)
+    f_cs = -P.alpha * sq[6] - bn * sq[7] + r_dn + P.n * P.dr
+
+    eq = equilibrium_arrays(P, errors)
+    star, dagger = (np.flatnonzero(v) for v in eq.geometric)
+    sw_at_star, sw_at_dagger = np.full((2, size), np.nan)
+    at = np.concatenate([rows, star, dagger])
+    if at.size:
+        values = _uniform_welfare(
+            P.take(at),
+            np.concatenate([c, eq.c[0, star], eq.c[1, dagger]]),
+            np.concatenate([s, eq.roots[0, star], eq.roots[1, dagger]]),
+        )
+        k, m = len(rows), len(rows) + len(star)
+        interior, sw_at_star[star], sw_at_dagger[dagger] = values[:k], values[k:m], values[m:]
+
+    # Candidates in the scalar order: interior (by root), then the faces
+    # c = d, s = 1 and c = s. The first one a row has is taken whatever its
+    # value (NaN included); a later one wins only when strictly greater.
+    candidates = []  # (present, value, location, c, s)
+    for j in range(4):
+        on = cols == j
+        if np.count_nonzero(on):
+            present, value, cc, ss = np.zeros(size, dtype=bool), np.zeros(size), np.zeros(size), np.zeros(size)
+            present[rows[on]] = True
+            value[rows[on]], cc[rows[on]], ss[rows[on]] = interior[on], c[on], s[on]
+            candidates.append((present, value, 0, cc, ss))
+    candidates += [(True, f_cd, 1, P.d, s_cd), (top, f_top, 2, c_top, 1.0), (True, f_cs, 3, s_cs, s_cs)]
+    have = np.zeros(size, dtype=bool)
+    sw_max, winner = np.full(size, np.nan), np.zeros(size, dtype=np.intp)
+    for k, (present, value, _, _, _) in enumerate(candidates):
+        take = present & (~have | (value > sw_max))
+        if np.count_nonzero(take):
+            sw_max = np.where(take, value, sw_max)
+            winner = np.where(take, k, winner)
+        have = have | present
+    location = np.choose(winner, [cand[2] for cand in candidates])
+    arg_c = np.choose(winner, [cand[3] for cand in candidates])
+    arg_s = np.choose(winner, [cand[4] for cand in candidates])
+
+    star_geo, dagger_geo = eq.geometric
+    no_equilibria = ~star_geo & ~dagger_geo
+    negative = sw_max < 0.0
+    zero = ~negative & (np.abs(sw_max) <= POS_TIE_TOL)
+    best = np.where(star_geo, np.where(dagger_geo, where_max(sw_at_star, sw_at_dagger), sw_at_star), sw_at_dagger)
+    pos = np.where(no_equilibria | negative | zero, np.nan, best / sw_max)
+    return WelfareArrays(
+        sw_max=sw_max,
+        location=location,
+        arg_c=arg_c,
+        arg_s=arg_s,
+        sw_at_star=sw_at_star,
+        sw_at_dagger=sw_at_dagger,
+        pos=pos,
+        no_equilibria=no_equilibria,
+        negative=negative,
+        zero=zero,
+        equilibria=eq,
+        quartic=quartic,
+    )
 
 
 def maximize_welfare(p: ModelParams) -> WelfareReport:
@@ -217,94 +482,7 @@ def maximize_welfare(p: ModelParams) -> WelfareReport:
     face is a concave quadratic, maximized at its vertex clamped to the
     face's interval.
     """
-    analysis = classify_quartic(quartic_coefficients(p))
-    gz = p.gamma + p.zeta
-    candidates = []  # (value, profile, location)
-
-    for r in analysis.roots:
-        if abs(r.imag) > REAL_ROOT_IMAG_TOL * (1.0 + abs(r.real)):
-            continue
-        y = r.real
-        if not (EPS_DEN < y <= 1.0 - p.d + 1e-15):
-            continue
-        s = p.d + y
-        c = _stationary_customer(p, s)
-        if not (p.d < c < s):
-            continue
-        q = OpinionProfile.uniform(c, min(s, 1.0), p.n)
-        candidates.append((social_welfare(p, q), q, "interior"))
-
-    # Face c = d: the interpolation term is exactly zero.
-    def f_cd(s):
-        return (
-            -p.alpha * (s - p.x) ** 2
-            - p.beta * p.n * (p.w - p.d) ** 2
-            - gz * p.n * (s - p.d) ** 2
-            + p.r_d * p.n
-        )
-
-    s_best = min(max((p.alpha * p.x + gz * p.n * p.d) / (p.alpha + gz * p.n), p.d), 1.0)
-    candidates.append((f_cd(s_best), OpinionProfile.uniform(p.d, s_best, p.n), "face:c=d"))
-
-    # Face s = 1 (skipped when the domain collapses to the corner d = 1).
-    if 1.0 - p.d > EPS_DEN:
-        slope = 0.0 if p.r_s == p.r_d else (p.r_s - p.r_d) / (1.0 - p.d)
-
-        def f_s1(c):
-            return (
-                -p.alpha * (1.0 - p.x) ** 2
-                - p.beta * p.n * (p.w - c) ** 2
-                - gz * p.n * (1.0 - c) ** 2
-                + p.r_d * p.n
-                + slope * p.n * (c - p.d)
-            )
-
-        c_best = min(max(_stationary_customer(p, 1.0), p.d), 1.0)
-        candidates.append((f_s1(c_best), OpinionProfile.uniform(c_best, 1.0, p.n), "face:s=1"))
-
-    # Face c = s: the interpolation term equals n (r_s - r_d) identically.
-    def f_cs(s):
-        return (
-            -p.alpha * (s - p.x) ** 2
-            - p.beta * p.n * (p.w - s) ** 2
-            + p.r_d * p.n
-            + p.n * (p.r_s - p.r_d)
-        )
-
-    lo = p.d if p.r_s == p.r_d else min(p.d + 1e-9, 1.0)
-    s_best = min(max((p.alpha * p.x + p.beta * p.n * p.w) / (p.alpha + p.beta * p.n), lo), 1.0)
-    candidates.append((f_cs(s_best), OpinionProfile.uniform(s_best, s_best, p.n), "face:c=s"))
-
-    sw_max, argmax, location = max(candidates, key=lambda t: t[0])
-
-    eq = nash_equilibria(p)
-    sw_at_star = social_welfare(p, eq.p_star) if eq.star_admissible else None
-    sw_at_dagger = social_welfare(p, eq.p_dagger) if eq.dagger_admissible else None
-
-    flags = set()
-    if sw_at_star is None and sw_at_dagger is None:
-        flags.add(PosFlag.NO_EQUILIBRIA)
-    if sw_max < 0.0:
-        flags.add(PosFlag.NEGATIVE_DENOMINATOR)
-    elif abs(sw_max) <= POS_TIE_TOL:
-        flags.add(PosFlag.ZERO_DENOMINATOR)
-
-    pos = None
-    if not flags:
-        best = max(v for v in (sw_at_star, sw_at_dagger) if v is not None)
-        pos = best / sw_max
-
-    return WelfareReport(
-        sw_max=sw_max,
-        argmax=argmax,
-        location=location,
-        sw_at_star=sw_at_star,
-        sw_at_dagger=sw_at_dagger,
-        pos=pos,
-        pos_flags=frozenset(flags),
-        equilibria=eq,
-        quartic=analysis,
-    )
+    return one_row(welfare_arrays, ParamBatch.of([p])).report(0, p.n)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,10 @@ serialization round-trips."""
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,6 +121,32 @@ class TestAnalyze:
         assert capsys.readouterr().err.startswith(
             "DegenerateDenominator: the critical dissonance value")
 
+    # Closed forms that leave the doubles: overflowing quartic invariants,
+    # infinite quartic coefficients and an overflowing discriminant. Each
+    # must end in a library error, not a traceback or non-finite cells.
+    @pytest.mark.parametrize("argv, message", [
+        (["--d", "0.43263079080478717", "--x", "0.6692972985745202", "--w", "0.6830648223096253",
+          "--n", "1000", "--alpha", "9.585631813626112e-136", "--beta", "2.882762907485046e+94",
+          "--gamma", "2.287692604667878e+37", "--zeta", "1.089828054055492e-210",
+          "--r_d", "0.4227846732701278", "--r_s", "0.6331843992741164"],
+         "NumericalContractError: quartic invariants"),
+        (["--d", "0.2266260633591367", "--x", "0.6890271371485683", "--w", "0.9271669354015911",
+          "--n", "10", "--alpha", "4.785184967897344e+44", "--beta", "2.3082456361035305e+70",
+          "--gamma", "8528.938133807445", "--zeta", "7.195903409967981e+278",
+          "--r_d", "0.5550966788978652", "--r_s", "0.04201178906868608"],
+         "NumericalContractError: quartic coefficients"),
+        (["--d", "0.3004813430917278", "--x", "0.3004813430917278", "--w", "0.6559283927641014",
+          "--n", "10", "--alpha", "8.864472531241219e-107", "--beta", "8.160395500160584e-192",
+          "--gamma", "7.824742046755414e+142", "--zeta", "1.4074000600665851e-192",
+          "--r_d", "0.05647656212768215", "--r_s", "0.7555856371678873"],
+         "NumericalContractError: quadratic discriminant inf is not finite"),
+    ], ids=["invariants-overflow", "infinite-coefficients", "infinite-discriminant"])
+    def test_non_finite_closed_form_exit_code(self, capsys, argv, message):
+        assert main(["analyze"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(message)
+        assert captured.out == ""
+
     def test_missing_config_exit_code(self, capsys):
         assert main(["analyze", "--config", "/nonexistent.cfg"]) == 1
 
@@ -214,10 +244,46 @@ class TestSweep:
         assert code == 0
         assert len(parse_csv(out.read_text())) == 7
 
+    def test_sweep_into_a_failing_region_reports_its_first_failing_row(self, capsys, config_path):
+        # alpha grows until the quartic's closed forms leave the doubles;
+        # the sweep fails as analyze does at the first row that fails.
+        failing = None
+        for i, alpha in enumerate(np.linspace(0.05, 1e80, 9).tolist()):
+            if main(["analyze", "--config", config_path, "--alpha", repr(alpha)]) == 2:
+                failing = i
+                break
+        message = capsys.readouterr().err
+        assert failing is not None and failing > 0
+        code = main(["sweep", "--config", config_path, "--param", "alpha", "--range", "0.05:1e80:9"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == message
+        assert captured.out == ""
+
     def test_bad_range_exit_code(self, config_path):
         code = main(["sweep", "--config", config_path, "--param", "zeta",
                      "--range", "10-25-7"])
         assert code == 1
+
+
+class TestParserReuse:
+    def test_output_after_failed_calls_matches_a_fresh_process(self, capsys, tmp_path, config_path):
+        argv = ["analyze", "--config", config_path]
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+        fresh = subprocess.run(
+            [sys.executable, "-c", "import sys; from advisorgame.cli import main; sys.exit(main(sys.argv[1:]))"]
+            + argv, env=env, capture_output=True, text=True, timeout=120)
+        assert fresh.returncode == 0, fresh.stderr
+        with pytest.raises(SystemExit):
+            main(["analyze", "--no-such-flag"])
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("bogus = 1\n")
+        assert main(["analyze", "--config", str(bad)]) == 1
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == fresh.stdout
 
 
 class TestSerialization:
@@ -260,7 +326,9 @@ class TestOracleCheck:
         assert captured.out == ""
 
 
-_WEIGHT = st.floats(-8.0, 8.0).map(lambda e: 10.0**e)
+# Weights over the whole decade range of positive doubles: every closed
+# form that leaves the doubles must end in a library error.
+_WEIGHT = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
 _UNIT = st.floats(0.0, 1.0)
 
 
