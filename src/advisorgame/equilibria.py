@@ -354,15 +354,10 @@ def check_admissibility_regions(p: ModelParams):
     """
     if p.r_s == p.r_d:
         raise EqualReturns("region formulas require r_s != r_d")
-
-    def kernel(P, errors):
-        r_d_1, r_d_2 = threshold_arrays(P)
-        check_thresholds(r_d_1, r_d_2, True, errors)
-        return r_d_1, r_d_2, _region_verdicts(P, r_d_1, r_d_2)
-
-    r_d_1, r_d_2, verdicts = one_row(kernel, ParamBatch.of([p]))
+    thresholds = admissibility_thresholds(p)
+    verdicts = _region_verdicts(ParamBatch.of([p]), thresholds.r_d_1, thresholds.r_d_2)
     star, dagger = verdicts[:, 0].tolist()
-    return star, dagger, AdmissibilityThresholds(r_d_1=r_d_1[0].item(), r_d_2=r_d_2[0].item())
+    return star, dagger, thresholds
 
 
 def limit_equilibria(p: ModelParams, which: LimitRegime):

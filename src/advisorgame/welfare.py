@@ -12,7 +12,9 @@ homogeneous parameters.
 
 As in ``equilibria``, the closed forms are written once over a
 ``ParamBatch`` (the ``*_arrays`` kernels) and the public functions run
-them on a batch of one.
+them on a batch of one. The welfare kernel needs only the quartic's
+roots; its classification invariants are computed by ``classify_quartic``
+alone, so an invariant that overflows fails only that call.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .equilibria import EquilibriumArrays, EquilibriumPair, equilibrium_arrays
 
 QUARTIC_RESIDUAL_TOL = 1e-8
 REAL_ROOT_IMAG_TOL = 1e-9
+EQUILIBRIUM_WELFARE_TOL = 1e-9
 POS_TIE_TOL = 1e-12
 
 LOCATIONS = ("interior", "face:c=d", "face:s=1", "face:c=s")
@@ -73,39 +76,6 @@ class WelfareReport:
     pos: Optional[float]
     pos_flags: frozenset
     equilibria: EquilibriumPair
-    quartic: QuarticAnalysis
-
-
-class QuarticArrays(NamedTuple):
-    """Coefficients, invariants and polished roots of every row's quartic."""
-
-    omega: np.ndarray  # (rows, 5): omega_0 .. omega_4
-    delta_big: np.ndarray
-    d_big: np.ndarray
-    p_big: np.ndarray
-    r_big: np.ndarray
-    roots: np.ndarray  # (rows, 4) complex, in the order np.roots gives them
-    near_real: np.ndarray  # (rows, 4): |Im| <= REAL_ROOT_IMAG_TOL (1 + |Re|)
-
-    def analysis(self, i: int) -> QuarticAnalysis:
-        omega = tuple(self.omega[i].tolist())
-        w0, w1, _w2, w3, w4 = omega
-        delta_big, d_big = self.delta_big[i].item(), self.d_big[i].item()
-        return QuarticAnalysis(
-            omega=omega,
-            delta_big=delta_big,
-            d_big=d_big,
-            p_big=self.p_big[i].item(),
-            r_big=self.r_big[i].item(),
-            roots=tuple(self.roots[i]),
-            all_nonreal=not self.near_real[i].any(),
-            omega_member=(
-                w4 - abs(w1) - abs(w3) + w0 > 0.0
-                and 4.0 * w4 - abs(w1) - 3.0 * abs(w3) < 0.0
-                and (delta_big <= 0.0 or d_big <= 0.0)
-            ),
-            sign_precondition_ok=w0 > 0.0 and w4 > 0.0 and w1 * w3 > 0.0,
-        )
 
 
 def coefficient_arrays(P: ParamBatch) -> np.ndarray:
@@ -235,43 +205,15 @@ def solve_quartic(omega) -> np.ndarray:
     return one_row(root_arrays, _coefficient_row(omega))[0]
 
 
-def quartic_arrays(omega: np.ndarray, errors: RowErrors) -> QuarticArrays:
-    """Invariants and roots of every row's quartic.
-
-    A row fails with NumericalContractError when its coefficients or its
-    invariants are not finite.
-    """
-    _check_finite(omega, errors)
-    w0, w1, _w2, w3, w4 = omega.T
-    w0_2, w1_2, w3_2, w4_2 = power(omega.T[[0, 1, 3, 4]], 2)
-    w0_3, w1_3, w3_3, w4_3 = power(omega.T[[0, 1, 3, 4]], 3)
-    w1_4, w3_4 = power(omega.T[[1, 3]], 4)
-    delta_big = (
-        256.0 * w4_3 * w0_3
-        - 192.0 * w4_2 * w3 * w1 * w0_2
-        - 27.0 * w4_2 * w1_4
-        - 6.0 * w4 * w3_2 * w1_2 * w0
-        - 27.0 * w3_4 * w0_2
-        - 4.0 * w3_3 * w1_3
-    )
-    d_big = 64.0 * w4_3 * w0 - 16.0 * w4_2 * w3 * w1 - 3.0 * w3_4
-    p_big = -3.0 * w3_2
-    r_big = w3_3 + 8.0 * w1 * w4_2
-    invariants = (delta_big, d_big, p_big, r_big)
-    errors.add(~np.logical_and.reduce([np.isfinite(v) for v in invariants]), lambda i: NumericalContractError(
-        "quartic invariants Delta, D, P, R = "
-        f"{tuple(v[i].item() for v in invariants)!r} are not finite"))
-    roots = root_arrays(omega, errors)
-    return QuarticArrays(omega, delta_big, d_big, p_big, r_big, roots, _near_real(roots))
-
-
 def classify_quartic(omega) -> QuarticAnalysis:
     """Discriminant-style invariants plus root-based classification.
 
-    The all-nonreal verdict always comes from the computed roots; the
-    sign-based equivalence (Delta > 0 and D > 0) is recorded for
-    cross-checking but never trusted on its own. Coefficients or
-    invariants that are not finite raise NumericalContractError.
+    This is the only code that computes the invariants Delta, D, P and R;
+    the welfare kernel needs just the roots. The all-nonreal verdict
+    always comes from the computed roots; the sign-based equivalence
+    (Delta > 0 and D > 0) is recorded for cross-checking but never trusted
+    on its own. Coefficients or invariants that are not finite raise
+    NumericalContractError.
 
     ``omega_member`` tests the coefficients against the region Omega and
     says nothing about the roots by itself. What holds for members is
@@ -279,7 +221,48 @@ def classify_quartic(omega) -> QuarticAnalysis:
     non-real conjugate pairs may lie inside it, so the claim that every
     root of a member leaves the unit disc is false.
     """
-    return one_row(quartic_arrays, _coefficient_row(omega)).analysis(0)
+
+    def kernel(row, errors):
+        _check_finite(row, errors)
+        w0, w1, _w2, w3, w4 = row.T
+        w0_2, w1_2, w3_2, w4_2 = power(row.T[[0, 1, 3, 4]], 2)
+        w0_3, w1_3, w3_3, w4_3 = power(row.T[[0, 1, 3, 4]], 3)
+        w1_4, w3_4 = power(row.T[[1, 3]], 4)
+        invariants = (
+            256.0 * w4_3 * w0_3
+            - 192.0 * w4_2 * w3 * w1 * w0_2
+            - 27.0 * w4_2 * w1_4
+            - 6.0 * w4 * w3_2 * w1_2 * w0
+            - 27.0 * w3_4 * w0_2
+            - 4.0 * w3_3 * w1_3,
+            64.0 * w4_3 * w0 - 16.0 * w4_2 * w3 * w1 - 3.0 * w3_4,
+            -3.0 * w3_2,
+            w3_3 + 8.0 * w1 * w4_2,
+        )
+        invariants = tuple(v.item() for v in invariants)
+        errors.add(not np.isfinite(invariants).all(), lambda i: NumericalContractError(
+            f"quartic invariants Delta, D, P, R = {invariants!r} are not finite"))
+        return invariants, root_arrays(row, errors)[0]
+
+    row = _coefficient_row(omega)
+    (delta_big, d_big, p_big, r_big), roots = one_row(kernel, row)
+    omega = tuple(row[0].tolist())
+    w0, w1, _w2, w3, w4 = omega
+    return QuarticAnalysis(
+        omega=omega,
+        delta_big=delta_big,
+        d_big=d_big,
+        p_big=p_big,
+        r_big=r_big,
+        roots=tuple(roots),
+        all_nonreal=not _near_real(roots).any(),
+        omega_member=(
+            w4 - abs(w1) - abs(w3) + w0 > 0.0
+            and 4.0 * w4 - abs(w1) - 3.0 * abs(w3) < 0.0
+            and (delta_big <= 0.0 or d_big <= 0.0)
+        ),
+        sign_precondition_ok=w0 > 0.0 and w4 > 0.0 and w1 * w3 > 0.0,
+    )
 
 
 def boundary_membership(p: ModelParams, q: OpinionProfile, tol: float = 1e-12) -> bool:
@@ -344,7 +327,6 @@ class WelfareArrays(NamedTuple):
     negative: np.ndarray
     zero: np.ndarray
     equilibria: EquilibriumArrays
-    quartic: QuarticArrays
 
     def report(self, i: int, n: int) -> WelfareReport:
         eq = self.equilibria.pair(i, n)
@@ -364,7 +346,6 @@ class WelfareArrays(NamedTuple):
             pos=None if flags else self.pos[i].item(),
             pos_flags=frozenset(flags),
             equilibria=eq,
-            quartic=self.quartic.analysis(i),
         )
 
 
@@ -375,14 +356,16 @@ def welfare_arrays(P: ParamBatch, errors: RowErrors) -> WelfareArrays:
     their reconstructed customer coordinate inside (d, s); the three
     symmetric faces are each solved in closed form: the welfare along a
     face is a concave quadratic, maximized at its vertex clamped to the
-    face's interval.
+    face's interval. A row fails with NumericalContractError when the
+    welfare of an admissible equilibrium exceeds the maximum by more than
+    EQUILIBRIUM_WELFARE_TOL * max(1, |welfare|).
     """
-    quartic = quartic_arrays(coefficient_arrays(P), errors)
+    roots = root_arrays(coefficient_arrays(P), errors)
     size = len(P)
     gz = P.gamma + P.zeta
 
-    y = quartic.roots.real
-    rows, cols = np.nonzero(quartic.near_real & (EPS_DEN < y) & (y <= 1.0 - P.d[:, None] + 1e-15))
+    y = roots.real
+    rows, cols = np.nonzero(_near_real(roots) & (EPS_DEN < y) & (y <= 1.0 - P.d[:, None] + 1e-15))
     c = s = np.zeros(0)
     if rows.size:
         at = P.take(rows)
@@ -452,6 +435,11 @@ def welfare_arrays(P: ParamBatch, errors: RowErrors) -> WelfareArrays:
     arg_s = np.choose(winner, [cand[4] for cand in candidates])
 
     star_geo, dagger_geo = eq.geometric
+    # The maximum bounds the welfare of every admissible equilibrium.
+    for admissible, value, name in ((star_geo, sw_at_star, "P*"), (dagger_geo, sw_at_dagger, "P+")):
+        above = admissible & (value > sw_max + EQUILIBRIUM_WELFARE_TOL * np.maximum(1.0, np.abs(value)))
+        errors.add(above, lambda i, value=value, name=name: NumericalContractError(
+            f"welfare {value[i].item()!r} at {name} exceeds the maximum {sw_max[i].item()!r}"))
     no_equilibria = ~star_geo & ~dagger_geo
     negative = sw_max < 0.0
     zero = ~negative & (np.abs(sw_max) <= POS_TIE_TOL)
@@ -469,7 +457,6 @@ def welfare_arrays(P: ParamBatch, errors: RowErrors) -> WelfareArrays:
         negative=negative,
         zero=zero,
         equilibria=eq,
-        quartic=quartic,
     )
 
 

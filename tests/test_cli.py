@@ -41,6 +41,13 @@ r_d = 0.3
 r_s = 0.2
 """
 
+# A point whose quartic invariants Delta and D overflow the doubles.
+OVERFLOWING_INVARIANTS_ARGV = [
+    "--d", "0.05754184505787924", "--x", "0.4703541388242204", "--w", "0.6961366347622424",
+    "--n", "2", "--alpha", "1295749196264.3904", "--beta", "1.0488151042308345e+38",
+    "--gamma", "7.304077022015147e+30", "--zeta", "50134874757.81474",
+    "--r_d", "0.8976226523941698", "--r_s", "0.444446689866281"]
+
 FIG1_VALUES = dict(d=0.1, x=0.4, w=0.5, n=1, alpha=0.05, beta=0.1,
                    gamma=0.2, zeta=10.0, r_d=0.3, r_s=0.2)
 
@@ -121,15 +128,10 @@ class TestAnalyze:
         assert capsys.readouterr().err.startswith(
             "DegenerateDenominator: the critical dissonance value")
 
-    # Closed forms that leave the doubles: overflowing quartic invariants,
-    # infinite quartic coefficients and an overflowing discriminant. Each
-    # must end in a library error, not a traceback or non-finite cells.
+    # Closed forms that leave the doubles: infinite quartic coefficients and
+    # an overflowing discriminant. Each must end in a library error, not a
+    # traceback or non-finite cells.
     @pytest.mark.parametrize("argv, message", [
-        (["--d", "0.43263079080478717", "--x", "0.6692972985745202", "--w", "0.6830648223096253",
-          "--n", "1000", "--alpha", "9.585631813626112e-136", "--beta", "2.882762907485046e+94",
-          "--gamma", "2.287692604667878e+37", "--zeta", "1.089828054055492e-210",
-          "--r_d", "0.4227846732701278", "--r_s", "0.6331843992741164"],
-         "NumericalContractError: quartic invariants"),
         (["--d", "0.2266260633591367", "--x", "0.6890271371485683", "--w", "0.9271669354015911",
           "--n", "10", "--alpha", "4.785184967897344e+44", "--beta", "2.3082456361035305e+70",
           "--gamma", "8528.938133807445", "--zeta", "7.195903409967981e+278",
@@ -140,11 +142,32 @@ class TestAnalyze:
           "--gamma", "7.824742046755414e+142", "--zeta", "1.4074000600665851e-192",
           "--r_d", "0.05647656212768215", "--r_s", "0.7555856371678873"],
          "NumericalContractError: quadratic discriminant inf is not finite"),
-    ], ids=["invariants-overflow", "infinite-coefficients", "infinite-discriminant"])
+    ], ids=["infinite-coefficients", "infinite-discriminant"])
     def test_non_finite_closed_form_exit_code(self, capsys, argv, message):
         assert main(["analyze"] + argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(message)
+        assert captured.out == ""
+
+    def test_overflowing_quartic_invariants_leave_analyze_finite(self, capsys):
+        # The quartic's invariants overflow here (see test_welfare), but no
+        # output cell depends on them.
+        assert main(["analyze"] + OVERFLOWING_INVARIANTS_ARGV) == 0
+        (row,) = parse_csv(capsys.readouterr().out)
+        assert row["sw_max"] is not None
+        assert all(math.isfinite(v) for v in row.values() if isinstance(v, float))
+
+    def test_equilibrium_above_the_welfare_maximum_exit_code(self, capsys):
+        # The admissible P* has welfare 2.256 while the candidates give a
+        # maximum of 1.062 at face:c=s: the maximum is wrong, not the PoS.
+        argv = ["--d", "0.08631337118440073", "--x", "0.9895834721480227", "--w", "0.814304286357178",
+                "--n", "10", "--alpha", "6.715223243936532e+35", "--beta", "4.923007814323495e-40",
+                "--gamma", "1.774792609451653e-29", "--zeta", "0.7984097340295095",
+                "--r_d", "0.6639652598931836", "--r_s", "0.10623159926334069"]
+        assert main(["analyze"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("NumericalContractError: welfare 2.256")
+        assert "at P* exceeds the maximum 1.062" in captured.err
         assert captured.out == ""
 
     def test_missing_config_exit_code(self, capsys):
@@ -245,16 +268,16 @@ class TestSweep:
         assert len(parse_csv(out.read_text())) == 7
 
     def test_sweep_into_a_failing_region_reports_its_first_failing_row(self, capsys, config_path):
-        # alpha grows until the quartic's closed forms leave the doubles;
+        # alpha grows until the quartic's coefficients leave the doubles;
         # the sweep fails as analyze does at the first row that fails.
         failing = None
-        for i, alpha in enumerate(np.linspace(0.05, 1e80, 9).tolist()):
+        for i, alpha in enumerate(np.linspace(0.05, 1e308, 9).tolist()):
             if main(["analyze", "--config", config_path, "--alpha", repr(alpha)]) == 2:
                 failing = i
                 break
         message = capsys.readouterr().err
         assert failing is not None and failing > 0
-        code = main(["sweep", "--config", config_path, "--param", "alpha", "--range", "0.05:1e80:9"])
+        code = main(["sweep", "--config", config_path, "--param", "alpha", "--range", "0.05:1e308:9"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err == message

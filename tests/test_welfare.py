@@ -8,6 +8,8 @@ from advisorgame import (
     EPS_DEN,
     GridSpec,
     MissingEquilibrium,
+    ModelParams,
+    NumericalContractError,
     OpinionProfile,
     PosFlag,
     boundary_membership,
@@ -158,6 +160,17 @@ class TestClassifyQuartic:
             for r in q.roots:
                 if abs(r.imag) <= 1e-9 * (1 + abs(r.real)):
                     assert abs(r.real) > 1.0 - 1e-9
+
+    def test_overflowing_invariants_raise(self):
+        # maximize_welfare and analyze succeed on this point (see test_cli);
+        # only the classification needs the invariants.
+        p = ModelParams(d=0.05754184505787924, x=0.4703541388242204, w=0.6961366347622424, n=2,
+                        alpha=1295749196264.3904, beta=1.0488151042308345e+38,
+                        gamma=7.304077022015147e+30, zeta=50134874757.81474,
+                        r_d=0.8976226523941698, r_s=0.444446689866281)
+        with pytest.raises(NumericalContractError, match="quartic invariants"):
+            classify_quartic(quartic_coefficients(p))
+        assert np.isfinite(maximize_welfare(p).sw_max)
 
     def test_complex_pairs_of_omega_members_can_enter_the_unit_disc(self):
         # The unit-disc exclusion is a real-root property only: this member
