@@ -10,14 +10,14 @@ from advisorgame import (
     ModelParams,
     grid_max_welfare,
     lipschitz_bound,
-    price_of_stability,
+    maximize_welfare,
     utilities_at_equilibria,
 )
 
 p = ModelParams(d=0.1, x=0.4, w=0.5, n=1, alpha=0.05, beta=0.1,
                 gamma=0.2, zeta=10.0, r_d=0.3, r_s=0.2)
 
-report = price_of_stability(p)
+report = maximize_welfare(p)
 print(f"welfare maximum SW_M = {report.sw_max:.9f} at {report.location}")
 print(f"argmax: c = {report.argmax.c[0]:.6f}, s = {report.argmax.s:.6f}")
 
@@ -37,6 +37,6 @@ print(f"\nper-player payoffs at P*: advisor {util.u_a_star:.7f}, "
 print(f"per-player payoffs at P+: advisor {util.u_a_dagger:.7f}, "
       f"customer {util.u_cl_dagger:.7f}")
 
-aligned = price_of_stability(p.replace(r_s=p.r_d, w=p.x))
+aligned = maximize_welfare(p.replace(r_s=p.r_d, w=p.x))
 print(f"\nwith r_s = r_d and w = x every penalty can vanish at once: "
       f"SW_M = {aligned.sw_max:.6f}, PoS = {aligned.pos:.9f}")

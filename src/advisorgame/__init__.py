@@ -52,7 +52,6 @@ from .welfare import (
     boundary_membership,
     classify_quartic,
     maximize_welfare,
-    price_of_stability,
     quartic_coefficients,
     solve_quartic,
     utilities_at_equilibria,

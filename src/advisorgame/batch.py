@@ -1,19 +1,16 @@
 """Row batches for the closed-form kernels of ``equilibria`` and ``welfare``.
 
 A kernel evaluates one closed form for many homogeneous games at once,
-one game per row. It reproduces the scalar formulas bit for bit: every
-operation is a single IEEE operation in the same order, Python's
-``max``/``min`` become ``np.where`` on the same comparison, and a power
-goes through the C library's ``pow`` as Python's ``**`` does (numpy's
-vectorized power differs from it in the last bit on a few percent of
-inputs). A row that fails a check keeps flowing through the later stages
-with meaningless values; ``RowErrors`` remembers the first error each row
-met, and the batch raises the one of its first failing row.
+one game per row. Every step is one IEEE-rounded numpy operation (a
+square is ``np.square``, a higher power a product of squares), and
+Python's ``max``/``min`` become ``np.where`` on the same comparison. A
+row that fails a check keeps flowing through the later stages with
+meaningless values; ``RowErrors`` remembers the first error each row met,
+and the batch raises the one of its first failing row.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from typing import Callable, Dict
 
@@ -96,25 +93,6 @@ def one_row(kernel, batch):
         result = kernel(batch, errors)
     errors.raise_first()
     return result
-
-
-def power(values: np.ndarray, exponent: float) -> np.ndarray:
-    """``v ** exponent`` elementwise through the C library's ``pow``, as
-    for a Python float, except that an overflow gives a signed infinity
-    instead of raising, so that the caller's finiteness check reports it."""
-    flat = values.ravel().tolist()
-    try:
-        out = [v**exponent for v in flat]
-    except OverflowError:
-        out = [_pow_or_inf(v, exponent) for v in flat]
-    return np.array(out, dtype=float).reshape(values.shape)
-
-
-def _pow_or_inf(v: float, exponent: float) -> float:
-    try:
-        return v**exponent
-    except OverflowError:
-        return math.copysign(math.inf, v) if exponent % 2 else math.inf
 
 
 def repeat_sum(values: np.ndarray, n: np.ndarray) -> np.ndarray:

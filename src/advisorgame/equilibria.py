@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .batch import ParamBatch, RowErrors, one_row, power, where_max, where_min
+from .batch import ParamBatch, RowErrors, one_row, where_max, where_min
 from .errors import (
     DegenerateDenominator,
     EqualReturns,
@@ -92,9 +92,7 @@ class EquilibriumPair:
     admissibility_source: AdmissibilitySource
     roots: QuadraticRoots
     degenerate: bool = False
-    # Individual verdicts; the region entries stay None when r_s == r_d.
-    star_geometric: bool = False
-    dagger_geometric: bool = False
+    # The closed-form verdicts; None when r_s == r_d.
     star_region: Optional[bool] = None
     dagger_region: Optional[bool] = None
 
@@ -157,8 +155,6 @@ class EquilibriumArrays(NamedTuple):
             admissibility_source=source,
             roots=QuadraticRoots(a=a, b=b, discriminant=self.disc[i].item()),
             degenerate=degenerate,
-            star_geometric=star_geo,
-            dagger_geometric=dagger_geo,
             star_region=star_region,
             dagger_region=dagger_region,
         )
@@ -174,7 +170,7 @@ def discriminant_arrays(P: ParamBatch, errors: RowErrors) -> np.ndarray:
     alpha_zeta = P.alpha * P.zeta
     errors.add(alpha_zeta == 0.0, lambda i: DegenerateDenominator(
         f"alpha * zeta = {P.alpha[i].item()!r} * {P.zeta[i].item()!r} underflows to 0"))
-    disc = power(P.d - P.x, 2) + (2.0 * P.gamma * P.n) / alpha_zeta * P.dr
+    disc = np.square(P.d - P.x) + (2.0 * P.gamma * P.n) / alpha_zeta * P.dr
     errors.add(~np.isfinite(disc), lambda i: NumericalContractError(
         f"quadratic discriminant {disc[i].item()!r} is not finite"))
     return disc
@@ -270,7 +266,7 @@ def _customer_at(P: ParamBatch, root):
 def threshold_arrays(P: ParamBatch):
     """(r_d_1, r_d_2) of every row."""
     span = P.x - P.d
-    span_sq, alpha_sq, ratio_sq = power(np.array([span, P.alpha, span / (P.alpha + P.gn)]), 2)
+    span_sq, alpha_sq, ratio_sq = np.square(np.array([span, P.alpha, span / (P.alpha + P.gn)]))
     return P.alpha * P.zeta / (2.0 * P.gn) * span_sq, 2.0 * P.zeta * alpha_sq * ratio_sq
 
 
@@ -399,7 +395,7 @@ def critical_zeta_arrays(P: ParamBatch, errors: RowErrors):
     lower branch when alpha <= gamma, the upper branch otherwise (the
     face-hitting root switches with the sign of alpha - gamma).
     """
-    gap_sq, ratio_sq = power(np.array([P.x - P.d, (P.alpha + P.gamma) / P.alpha]), 2)
+    gap_sq, ratio_sq = np.square(np.array([P.x - P.d, (P.alpha + P.gamma) / P.alpha]))
     errors.add(gap_sq == 0.0, lambda i: DegenerateDenominator(
         f"the critical dissonance value needs (x - d)^2 > 0, got {gap_sq[i].item()!r}"))
     zeta_bar = -0.5 * ratio_sq * P.dr / gap_sq

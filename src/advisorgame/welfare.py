@@ -25,7 +25,7 @@ from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .batch import ParamBatch, RowErrors, one_row, power, repeat_sum, where_max, where_min
+from .batch import ParamBatch, RowErrors, one_row, repeat_sum, where_max, where_min
 from .errors import (
     DegenerateDenominator,
     DegenerateLeadingCoefficient,
@@ -85,7 +85,7 @@ def coefficient_arrays(P: ParamBatch) -> np.ndarray:
     bgz = P.beta + gz
     return np.stack(
         [
-            P.n * power(P.r_d - P.r_s, 2),
+            P.n * np.square(P.r_d - P.r_s),
             2.0 * P.beta * P.n * (P.r_d - P.r_s) * (P.d - P.w),
             np.zeros(len(P)),
             4.0 * (P.beta * P.n * (P.d - P.w) * gz + P.alpha * (P.d - P.x) * bgz),
@@ -118,10 +118,11 @@ def root_arrays(omega: np.ndarray, errors: RowErrors) -> np.ndarray:
     Roots come from companion matrices, as ``np.roots`` builds them
     (trailing zero coefficients are dropped and give zero roots), with one
     batched ``eigvals`` per matrix size; near-real roots are polished with
-    up to four Newton steps on the real axis. The residual contract is
-    |p(root)| <= 1e-8 * sum|omega_i| * max(1, |root|)^4; the magnitude
-    factor only matters for roots far outside the unit disc, where bare
-    evaluation round-off already exceeds the unscaled bound.
+    up to four Newton steps on the real axis, each kept only when it does
+    not raise |p| or lands within 1e-8 * sum|omega_i|. The residual
+    contract is |p(root)| <= 1e-8 * sum|omega_i| * max(1, |root|)^4; the
+    magnitude factor only matters for roots far outside the unit disc,
+    where bare evaluation round-off already exceeds the unscaled bound.
     """
     leading = omega[:, 4]
     tiny = np.abs(leading) <= 1e-300
@@ -145,44 +146,42 @@ def root_arrays(omega: np.ndarray, errors: RowErrors) -> np.ndarray:
             roots[rows, :size] = np.linalg.eigvals(companion)
 
     w0, w1, w2, w3, w4 = omega.T[:, :, None]
+
+    def p(z):
+        return (((w4 * z + w3) * z + w2) * z + w1) * z + w0
+
+    floor = (QUARTIC_RESIDUAL_TOL * np.abs(omega).sum(axis=1))[:, None]
     near = _near_real(roots)
     if np.count_nonzero(near):
         z = roots.real.copy()
+        value = p(z)
         active = near.copy()
         w4_4, w3_3, w2_2 = 4.0 * w4, 3.0 * w3, 2.0 * w2
         for _ in range(4):
             slope = ((w4_4 * z + w3_3) * z + w2_2) * z + w1
             active &= slope != 0.0
-            step = ((((w4 * z + w3) * z + w2) * z + w1) * z + w0) / slope
-            z = np.where(active, z - step, z)
+            step = value / slope
+            moved = z - step
+            trial = p(moved)
+            # A step that raises |p| is kept only inside the contract, so
+            # Newton cannot leave a tiny root for a distant non-root.
+            active &= (np.abs(trial) <= np.abs(value)) | (np.abs(trial) <= floor)
+            z = np.where(active, moved, z)
+            value = np.where(active, trial, value)
             active &= ~(np.abs(step) <= 1e-16 * (1.0 + np.abs(z)))
             if not np.count_nonzero(active):
                 break
         roots.real[near] = z[near]
         roots.imag[near] = 0.0
 
-    # The residual as numpy's complex scalars evaluate it, one rounding per
-    # operation: (w + 0j) * z leaves w * z, and adding a real coefficient
-    # leaves the imaginary part. (numpy's vectorized complex product fuses
-    # its multiply-adds and differs in the last bit.)
-    re, im = roots.real, roots.imag
-    acc_re, acc_im = w4 * re, w4 * im
-    for w in (w3, w2, w1):
-        acc_re = acc_re + w
-        acc_re, acc_im = acc_re * re - acc_im * im, acc_re * im + acc_im * re
-    residual = np.hypot(acc_re + w0, acc_im)
-    modulus = np.hypot(re, im)
-    far = modulus > 1.0
-    growth = np.ones_like(modulus)
-    if np.count_nonzero(far):
-        growth[far] = power(modulus[far], 4)
-    tol = (QUARTIC_RESIDUAL_TOL * np.abs(omega).sum(axis=1))[:, None] * growth
+    residual = np.abs(p(roots))
+    tol = floor * np.square(np.square(np.maximum(np.abs(roots), 1.0)))
     bad = solvable[:, None] & (residual > tol)
 
     def violation(i):
         j = int(np.argmax(bad[i]))
-        bound = np.float64(tol[i, j]) if far[i, j] else tol[i, j].item()
-        return NumericalContractError(f"quartic residual at root {roots[i, j]!r} exceeds {bound!r}")
+        return NumericalContractError(
+            f"quartic residual at root {roots[i, j].item()!r} exceeds {tol[i, j].item()!r}")
 
     errors.add(bad.any(axis=1), violation)
     return roots
@@ -225,9 +224,10 @@ def classify_quartic(omega) -> QuarticAnalysis:
     def kernel(row, errors):
         _check_finite(row, errors)
         w0, w1, _w2, w3, w4 = row.T
-        w0_2, w1_2, w3_2, w4_2 = power(row.T[[0, 1, 3, 4]], 2)
-        w0_3, w1_3, w3_3, w4_3 = power(row.T[[0, 1, 3, 4]], 3)
-        w1_4, w3_4 = power(row.T[[1, 3]], 4)
+        squares = np.square(row.T[[0, 1, 3, 4]])
+        w0_2, w1_2, w3_2, w4_2 = squares
+        w0_3, w1_3, w3_3, w4_3 = squares * row.T[[0, 1, 3, 4]]
+        w1_4, w3_4 = np.square(squares[[1, 2]])
         invariants = (
             256.0 * w4_3 * w0_3
             - 192.0 * w4_2 * w3 * w1 * w0_2
@@ -300,7 +300,7 @@ def _uniform_welfare(P: ParamBatch, c, s):
     r_s == r_d."""
     sums = repeat_sum(np.array([np.square(P.w - c), np.square(s - c), c - P.d]).T, P.n)
     base = (
-        -P.alpha * power(s - P.x, 2)
+        -P.alpha * np.square(s - P.x)
         - P.beta * sums[:, 0]
         - (P.gamma + P.zeta) * sums[:, 1]
         + P.r_d * P.n
@@ -387,11 +387,11 @@ def welfare_arrays(P: ParamBatch, errors: RowErrors) -> WelfareArrays:
     # Face c = s: the interpolation term equals n (r_s - r_d) identically.
     lo = np.where(P.equal, P.d, where_min(P.d + 1e-9, 1.0))
     s_cs = where_min(where_max((P.alpha * P.x + bn * P.w) / (P.alpha + bn), lo), 1.0)
-    sq = power(np.array([
+    sq = np.square(np.array([
         s_cd - P.x, P.w - P.d, s_cd - P.d,
         1.0 - P.x, P.w - c_top, 1.0 - c_top,
         s_cs - P.x, P.w - s_cs,
-    ]), 2)
+    ]))
     r_dn = P.r_d * P.n
     f_cd = -P.alpha * sq[0] - bn * sq[1] - gzn * sq[2] + r_dn
     f_top = -P.alpha * sq[3] - bn * sq[4] - gzn * sq[5] + r_dn + slope * P.n * (c_top - P.d)
@@ -501,11 +501,3 @@ def utilities_at_equilibria(p: ModelParams, eq: EquilibriumPair) -> EquilibriumU
     if eq.p_dagger is not None:
         u_a_d, u_cl_d = pair(eq.roots.b)
     return EquilibriumUtilities(u_a_s, u_cl_s, u_a_d, u_cl_d)
-
-
-def price_of_stability(p: ModelParams) -> WelfareReport:
-    """Alias of :func:`maximize_welfare`, kept as public API.
-
-    The report it returns already carries the PoS ratio (or its flags).
-    """
-    return maximize_welfare(p)

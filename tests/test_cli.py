@@ -170,6 +170,18 @@ class TestAnalyze:
         assert "at P* exceeds the maximum 1.062" in captured.err
         assert captured.out == ""
 
+    def test_tiny_quartic_roots_keep_analyze_healthy(self, capsys, config_path):
+        # At alpha = 1.25e61 three quartic roots have moduli near 1e-22, and
+        # an unguarded Newton step from their real part lands on y = 0.585,
+        # which is no root. The optimum must stay that of alpha = 1e60.
+        rows = []
+        for alpha in ("1e60", "1.25e61"):
+            assert main(["analyze", "--config", config_path, "--alpha", alpha]) == 0
+            (row,) = parse_csv(capsys.readouterr().out)
+            rows.append(row)
+        assert rows[1]["sw_location"] == "interior"
+        assert rows[1]["sw_max"] == pytest.approx(rows[0]["sw_max"], rel=1e-12)
+
     def test_missing_config_exit_code(self, capsys):
         assert main(["analyze", "--config", "/nonexistent.cfg"]) == 1
 

@@ -137,7 +137,7 @@ class TestAdmissibilityRegions:
         star, dagger, _ = check_admissibility_regions(p)
         assert star and not dagger
         eq = nash_equilibria(p)
-        assert eq.star_geometric and not eq.dagger_geometric
+        assert eq.star_admissible and not eq.dagger_admissible
 
     def test_equal_returns_rejected(self, fig1):
         with pytest.raises(EqualReturns):
@@ -165,8 +165,8 @@ class TestAdmissibilityRegions:
             if not eq.roots.real:
                 continue
             count += 1
-            assert eq.star_region == eq.star_geometric
-            assert eq.dagger_region == eq.dagger_geometric
+            assert eq.star_region == eq.star_admissible
+            assert eq.dagger_region == eq.dagger_admissible
             assert eq.admissibility_source is AdmissibilitySource.BOTH
 
 

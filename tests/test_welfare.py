@@ -19,7 +19,6 @@ from advisorgame import (
     lipschitz_bound,
     maximize_welfare,
     nash_equilibria,
-    price_of_stability,
     quartic_coefficients,
     social_welfare,
     social_welfare_gradient,
@@ -132,6 +131,20 @@ class TestSolveQuartic:
         assert len(real) == 2
         for got, want in zip(real, expected):
             assert got == pytest.approx(want, abs=1e-6)
+
+    def test_residual_contract_catches_a_wrong_root(self, fig1, monkeypatch):
+        # A root moved well off the real axis is not polished by Newton, so
+        # only the residual contract stands between it and the caller.
+        eigvals = np.linalg.eigvals
+
+        def moved(matrices):
+            roots = eigvals(matrices).astype(complex)
+            roots[..., 0] += 0.5j
+            return roots
+
+        monkeypatch.setattr(np.linalg, "eigvals", moved)
+        with pytest.raises(NumericalContractError, match="^quartic residual at root"):
+            solve_quartic(quartic_coefficients(fig1))
 
 
 class TestClassifyQuartic:
@@ -334,13 +347,13 @@ class TestEquilibriumUtilities:
 
 class TestPriceOfStability:
     def test_best_equilibrium_over_optimum(self, fig1):
-        report = price_of_stability(fig1)
+        report = maximize_welfare(fig1)
         best = max(report.sw_at_star, report.sw_at_dagger)
         assert report.pos == pytest.approx(best / report.sw_max, rel=1e-14)
         assert 0.0 < report.pos <= 1.0
 
     def test_reference_value_against_grid(self, fig1):
-        report = price_of_stability(fig1)
+        report = maximize_welfare(fig1)
         _, grid_val = grid_max_welfare(fig1, GridSpec(1e-3))
         best = max(report.sw_at_star, report.sw_at_dagger)
         slack = 1e-3 * lipschitz_bound(fig1)
@@ -348,5 +361,5 @@ class TestPriceOfStability:
 
     def test_unity_when_optimum_is_an_equilibrium(self, fig1):
         p = fig1.replace(r_s=0.3, w=0.4)
-        report = price_of_stability(p)
+        report = maximize_welfare(p)
         assert report.pos == pytest.approx(1.0, abs=1e-9)
