@@ -75,10 +75,14 @@ def parse_config(path: str) -> dict:
     return values
 
 
-def build_params(values: dict) -> ModelParams:
-    missing = [k for k in PARAM_KEYS if k not in values]
+def _require(values: dict, keys) -> None:
+    missing = [k for k in keys if k not in values]
     if missing:
         raise ConfigError(f"missing parameter(s): {', '.join(missing)}")
+
+
+def build_params(values: dict) -> ModelParams:
+    _require(values, PARAM_KEYS)
     if not float(values["n"]).is_integer():
         raise InvalidParameter("n", f"must be an integer, got {values['n']!r}")
     kwargs = dict(values)
@@ -167,6 +171,8 @@ def run_sweep(base_values: dict, param: str, lo: float, hi: float, steps: int) -
         raise ConfigError(f"sweep range needs lo < hi, got {lo}:{hi}")
     if not (2 <= steps <= 10**6):
         raise ConfigError(f"sweep steps must lie in [2, 1000000], got {steps}")
+    # Checked once: a missing base key would otherwise mark every row.
+    _require(base_values, [k for k in PARAM_KEYS if k != param])
     sweep = np.linspace(lo, hi, steps).tolist()
     rows = []
     for start in range(0, steps, SWEEP_BLOCK):

@@ -64,6 +64,56 @@ def _axis(lo: float, hi: float, step: float) -> np.ndarray:
     return vals
 
 
+def _one_coordinate_terms(p: ModelParams, axis: np.ndarray):
+    """The welfare terms of the grid that depend on s or on c alone, and
+    the rounding slack of the row bounds, or None when they are not used.
+
+    Returns ``(s_term, c_term, slack)`` with s_term = -alpha (s - x)^2 and
+    c_term = beta n (w - c)^2 over ``axis``. Every intermediate of a cell
+    is at most ``scale`` in magnitude, so each of its roughly ten roundings
+    errs by at most about 1.1e-16 * scale, and slack = 1e-12 * scale
+    leaves a margin of about 1 000x over their sum. The bounds are unused,
+    and every row is evaluated, unless 1e-300 < scale < 1e300: above,
+    cells may overflow to inf or NaN; below, a subnormal intermediate errs
+    by up to 2.5e-324 whatever its size, which the slack no longer covers.
+    """
+    s_term = -p.alpha * (axis - p.x) ** 2
+    c_term = p.beta * p.n * (p.w - axis) ** 2
+    # Python floats, which overflow to inf without a warning; a NaN scale
+    # fails the test too.
+    scale = (
+        float(np.max(np.abs(s_term)))
+        + float(np.max(c_term))
+        + (p.gamma + p.zeta) * p.n
+        + p.n * (abs(p.r_d) + abs(p.r_s - p.r_d))
+    )
+    slack = 1e-12 * scale if 1e-300 < scale < 1e300 else None
+    return s_term, c_term, slack
+
+
+def _row_bounds(p: ModelParams, s_term, c_term, axis, j0: int, j1: int, rows: int, slack: float):
+    """Upper bound on the rounded welfare of every feasible cell of each
+    row c_i (i < rows) over the columns j0 <= j < j1 of the grid:
+
+        U_i = max_j s_term_j - c_term_i
+              - (gamma + zeta) n max(0, s_j0 - c_i)^2 + n max(r_d, r_s) + slack.
+
+    A feasible cell has frac in [0, 1]: c <= s gives 0 <= c - d <= s - d,
+    the s = d column sets frac = 0 and the c = s override frac = 1, so
+    its return r_d + frac (r_s - r_d) is at most max(r_d, r_s). Every s of
+    the block is at least s_j0, so s - c >= max(0, s_j0 - c_i) and the
+    penalty -(gamma + zeta) n (s - c)^2 is at most the bound's; rounding
+    is monotone, so the cell's square is no smaller than the bound's.
+    ``slack`` covers the remaining roundings (see _one_coordinate_terms).
+    """
+    short = axis[j0] - axis[:rows]
+    np.maximum(short, 0.0, out=short)
+    penalty = np.multiply(np.square(short, out=short), (p.gamma + p.zeta) * p.n, out=short)
+    bound = (np.max(s_term[j0:j1]) + (p.n * max(p.r_d, p.r_s) + slack)) - c_term[:rows]
+    bound -= penalty
+    return bound
+
+
 def _grid_homogeneous(p: ModelParams, res: float):
     """Symmetric-slice grid (all customers equal) plus exact face lines.
 
@@ -77,6 +127,14 @@ def _grid_homogeneous(p: ModelParams, res: float):
     the same operations, in the same order, as the dense s x c array, and
     the winner is the dense array's first maximum in C order (smallest c
     index, then smallest s index), so profile and value are bit-identical.
+
+    Blocks are visited in descending order of their largest row bound
+    (_row_bounds), and a block evaluates only the contiguous range of rows
+    whose bound reaches the best cell value found so far. A skipped row's
+    cells all lie below a cell already found, so none of them can be the
+    dense argmax or tie with it, and the per-block bests, put back in
+    block order, give the dense winner. When the bounds are unused (see
+    _one_coordinate_terms) every row of every block is evaluated.
     """
     axis = _axis(p.d, 1.0, res)  # both the s and the c axis
     count = len(axis) * len(axis)
@@ -85,24 +143,47 @@ def _grid_homogeneous(p: ModelParams, res: float):
 
     # Terms that depend on one coordinate only, computed once; c - d and
     # s - d are the same vector because the axes coincide.
-    s_term = -p.alpha * (axis - p.x) ** 2
-    c_term = p.beta * p.n * (p.w - axis) ** 2
+    s_term, c_term, slack = _one_coordinate_terms(p, axis)
     c_gap = axis - p.d
     s_ok = c_gap > EPS_DEN
     s_gap = np.where(s_ok, c_gap, 1.0)
 
-    best_val, best_i, best_j = [], [], []
-    for j0 in range(0, len(axis), GRID_BLOCK):
-        j1 = min(j0 + GRID_BLOCK, len(axis))
+    starts = range(0, len(axis), GRID_BLOCK)
+    ends = [min(j0 + GRID_BLOCK, len(axis)) for j0 in starts]
+    # Rows past the last c <= max(s) + 1e-15 of a block are all masked out.
+    row_ends = np.searchsorted(axis, axis[np.array(ends) - 1] + 1e-15, side="right")
+    order = range(len(starts))
+    if slack is not None:
+        tops, lows = [], []
+        for j0, j1, rows in zip(starts, ends, row_ends):
+            bound = _row_bounds(p, s_term, c_term, axis, j0, j1, rows, slack)
+            tops.append(bound.max())
+            lows.append(bound.min())
+        order = np.argsort(np.negative(tops), kind="stable")
+
+    best_val = np.full(len(starts), -np.inf)
+    best_i = np.zeros(len(starts), dtype=int)
+    best_j = np.zeros(len(starts), dtype=int)
+    incumbent = -np.inf
+    for b in order:
+        j0, j1, rows = starts[b], ends[b], int(row_ends[b])
+        lo = 0
+        if slack is not None:
+            if tops[b] < incumbent:
+                break  # so are the bounds of every block after it
+            # When even the lowest row bound reaches the incumbent, the
+            # whole block is kept without recomputing its bounds.
+            if lows[b] < incumbent:
+                bound = _row_bounds(p, s_term, c_term, axis, j0, j1, rows, slack)
+                keep = np.flatnonzero(bound >= incumbent)
+                lo, rows = int(keep[0]), int(keep[-1]) + 1
         s = axis[j0:j1]
-        # Rows past the last c <= max(s) + 1e-15 are all masked out, and
-        # rows below ``near`` lie more than 1e-14 below every s of the
+        # Rows below ``near`` lie more than 1e-14 below every s of the
         # block, so neither the c = s test nor the mask can hold there.
-        rows = int(np.searchsorted(axis, s[-1] + 1e-15, side="right"))
-        near = int(np.searchsorted(axis, s[0] - 1e-14))
-        c = axis[:rows, None]
+        near = max(int(np.searchsorted(axis, s[0] - 1e-14)) - lo, 0)
+        c = axis[lo:rows, None]
         s_c = s - c
-        frac = c_gap[:rows, None] / s_gap[j0:j1]
+        frac = c_gap[lo:rows, None] / s_gap[j0:j1]
         frac[:, ~s_ok[j0:j1]] = 0.0
         # At c = s the interpolated return is exactly r_s, also in the s -> d corner.
         frac[near:][np.abs(s_c[near:]) <= 1e-15] = 1.0
@@ -113,24 +194,22 @@ def _grid_homogeneous(p: ModelParams, res: float):
         frac += p.r_d
         penalty = p.zeta * sq
         frac -= penalty  # u_cl = r_d + frac (r_s - r_d) - zeta (s - c)^2
-        sw = s_term[j0:j1] - c_term[:rows, None]
+        sw = s_term[j0:j1] - c_term[lo:rows, None]
         sw -= np.multiply(sq, p.gamma * p.n, out=penalty)  # u_a
         frac *= p.n
         sw += frac  # u_a + n u_cl
         sw[near:][c[near:] > s + 1e-15] = -np.inf
         i, j = np.unravel_index(int(np.argmax(sw)), sw.shape)
-        best_val.append(sw[i, j])
-        best_i.append(i)
-        best_j.append(j0 + j)
+        best_val[b], best_i[b], best_j[b] = sw[i, j], lo + i, j0 + j
+        incumbent = max(incumbent, sw[i, j])
 
     # The dense argmax: a NaN wins, else the largest value; ties go to
     # the smallest c index, then to the earliest block.
-    vals = np.array(best_val)
-    top = vals[np.argmax(vals)]
-    tied = np.isnan(vals) if np.isnan(top) else vals == top
+    top = best_val[np.argmax(best_val)]
+    tied = np.isnan(best_val) if np.isnan(top) else best_val == top
     k = int(np.argmin(np.where(tied, best_i, len(axis))))
     best = OpinionProfile.uniform(float(axis[best_i[k]]), float(axis[best_j[k]]), p.n)
-    return best, float(vals[k])
+    return best, float(best_val[k])
 
 
 def _grid_heterogeneous(p: HeterogeneousParams, res: float):

@@ -295,6 +295,15 @@ class TestSweep:
         assert captured.err == message
         assert captured.out == ""
 
+    def test_missing_base_parameter_exit_code(self, capsys):
+        code = main(["sweep", "--d", "0.1", "--x", "0.4", "--w", "0.5", "--n", "1",
+                     "--alpha", "0.05", "--gamma", "0.2", "--r_d", "0.3", "--r_s", "0.2",
+                     "--param", "zeta", "--range", "10:25:3"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == "error: missing parameter(s): beta\n"
+        assert captured.out == ""
+
     def test_bad_range_exit_code(self, config_path):
         code = main(["sweep", "--config", config_path, "--param", "zeta",
                      "--range", "10-25-7"])

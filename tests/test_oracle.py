@@ -25,7 +25,8 @@ from advisorgame import (
     perturbation_check,
     total_utility,
 )
-from advisorgame.oracle import GRID_BLOCK, _axis
+from advisorgame import oracle
+from advisorgame.oracle import GRID_BLOCK, _axis, _one_coordinate_terms, _row_bounds
 
 from conftest import draw_domain_point, draw_params
 
@@ -91,9 +92,8 @@ class TestGrid:
         assert value == pytest.approx(total_utility(het, point), rel=1e-10)
 
 
-def _dense_grid(p, res):
-    """The whole s x c welfare array at once, argmax in C order: the
-    reference the streamed grid must reproduce bit for bit."""
+def _dense_welfare(p, res):
+    """The axis and the whole s x c welfare array, -inf off the feasible set."""
     s_axis = _axis(p.d, 1.0, res)
     c_axis = s_axis.copy()
     s = s_axis[None, :]
@@ -111,8 +111,15 @@ def _dense_grid(p, res):
             - p.gamma * p.n * (s - c) ** 2
         )
         sw = np.where(mask, u_a + p.n * u_cl, -np.inf)
+    return s_axis, sw
+
+
+def _dense_grid(p, res):
+    """The whole s x c welfare array at once, argmax in C order: the
+    reference the streamed grid must reproduce bit for bit."""
+    axis, sw = _dense_welfare(p, res)
     i, j = np.unravel_index(int(np.argmax(sw)), sw.shape)
-    return OpinionProfile.uniform(float(c_axis[i]), float(s_axis[j]), p.n), float(sw[i, j])
+    return OpinionProfile.uniform(float(axis[i]), float(axis[j]), p.n), float(sw[i, j])
 
 
 def _assert_matches_dense(p, res):
@@ -196,6 +203,72 @@ class TestBlockedGrid:
         point, value = grid_max_welfare(p, GridSpec(1.0 / 64))
         assert np.isnan(value)
         assert point == OpinionProfile.uniform(40 / 64, 40 / 64, 10)
+        _assert_matches_dense(p, 1.0 / 64)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_overflowing_weights_take_the_unpruned_path(self, monkeypatch):
+        p = ModelParams(d=0.0, x=0.5, w=40 / 64, n=10, alpha=1.0, beta=1e308,
+                        gamma=1.0, zeta=1.0, r_d=0.3, r_s=0.2)
+        assert _one_coordinate_terms(p, _axis(p.d, 1.0, 1.0 / 64))[2] is None
+
+        def no_bounds(*args):
+            raise AssertionError("row bounds used where cells may overflow")
+
+        monkeypatch.setattr(oracle, "_row_bounds", no_bounds)
+        point, value = grid_max_welfare(p, GridSpec(1.0 / 64))
+        assert np.isnan(value)
+        assert point == OpinionProfile.uniform(40 / 64, 40 / 64, 10)
+
+    def test_subnormal_weights_take_the_unpruned_path(self):
+        # Each rounding of a subnormal cell may err by a whole subnormal
+        # step, far beyond a slack of 1e-12 * scale; pruned by row bounds,
+        # this point's winner would be c = 14/64, not the dense 13/64.
+        p = ModelParams(d=0.0, x=0.5078031207803458, w=0.1879227373491813, n=3,
+                        alpha=1.155e-320, beta=2.17e-322, gamma=6e-323, zeta=1e-323,
+                        r_d=0.0, r_s=0.0)
+        assert _one_coordinate_terms(p, _axis(p.d, 1.0, 1.0 / 64))[2] is None
+        point, _ = grid_max_welfare(p, GridSpec(1.0 / 64))
+        assert point == OpinionProfile.uniform(13 / 64, 32 / 64, 3)
+        _assert_matches_dense(p, 1.0 / 64)
+
+    def test_cells_lie_below_their_row_bounds(self, fig1):
+        rng = np.random.default_rng(100)  # the 1e-2 draws of test_seeded_points
+        cases = [(draw_params(rng, n=int(rng.choice([1, 3, 7, 1000]))), 1e-2) for _ in range(60)]
+        variants = (fig1, fig1.replace(n=2), fig1.replace(r_s=0.35, zeta=3.0), fig1.replace(n=1000))
+        cases += [(q, res) for res in (1e-2, 1e-3) for q in variants]
+        # The points of test_ties_take_the_first_cell_in_c_order.
+        tiny = dict(alpha=1e-30, beta=1e-30, gamma=1e-30, zeta=1e-30)
+        base = ModelParams(d=0.0, x=0.5, w=0.5, n=1, r_d=0.3, r_s=0.3, **tiny)
+        cases += [(base, 1 / 64), (base.replace(alpha=1.0, x=31.5 / 64), 1 / 64),
+                  (base.replace(beta=1.0, w=40.5 / 64), 1 / 64),
+                  (base.replace(x=0.6, w=0.5, alpha=2e-16, beta=3e-16, r_d=0.72, r_s=0.72), 1e-2)]
+        for p, res in cases:
+            axis, sw = _dense_welfare(p, res)
+            s_term, c_term, slack = _one_coordinate_terms(p, axis)
+            assert slack is not None
+            for j0 in range(0, len(axis), GRID_BLOCK):
+                j1 = min(j0 + GRID_BLOCK, len(axis))
+                bound = _row_bounds(p, s_term, c_term, axis, j0, j1, len(axis), slack)
+                assert np.all(sw[:, j0:j1] <= bound[:, None])
+
+    def test_blocks_combine_in_block_order(self):
+        # Every value here is a short dyadic fraction, so each cell is
+        # exact. In row c = 30/64 the cells s = 31/64 and 32/64 tie as the
+        # best of the grid, on both sides of the first block edge. The
+        # second block has the larger row bound and is visited first, but
+        # the dense winner is the first block's cell.
+        p = ModelParams(d=0.0, x=47 / 64, w=30 / 64, n=1, alpha=3.0, beta=128.0,
+                        gamma=15.5, zeta=15.5, r_d=0.5, r_s=0.5)
+        axis = _axis(p.d, 1.0, 1.0 / 64)
+        s_term, c_term, slack = _one_coordinate_terms(p, axis)
+        first, second = (
+            np.max(_row_bounds(p, s_term, c_term, axis, j0, j0 + GRID_BLOCK, j0 + GRID_BLOCK, slack))
+            for j0 in (0, GRID_BLOCK)
+        )
+        assert second > first
+        point, value = grid_max_welfare(p, GridSpec(1.0 / 64))
+        assert point == OpinionProfile.uniform(30 / 64, 31 / 64, 1)
+        assert value == 0.5 - 799 / 4096
         _assert_matches_dense(p, 1.0 / 64)
 
     def test_finest_grid_memory_is_bounded(self, fig1):
