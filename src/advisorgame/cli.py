@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -173,13 +174,15 @@ def run_sweep(base_values: dict, param: str, lo: float, hi: float, steps: int) -
         raise ConfigError(f"sweep steps must lie in [2, 1000000], got {steps}")
     # Checked once: a missing base key would otherwise mark every row.
     _require(base_values, [k for k in PARAM_KEYS if k != param])
-    sweep = np.linspace(lo, hi, steps).tolist()
+    # A non-finite end gives NaN or inf values, each an error row below.
+    with np.errstate(invalid="ignore"):
+        sweep = np.linspace(lo, hi, steps).tolist()
     rows = []
     for start in range(0, steps, SWEEP_BLOCK):
         block, params, values = [], [], []
         for value in sweep[start:start + SWEEP_BLOCK]:
             point = dict(base_values)
-            point[param] = int(round(value)) if param == "n" else value
+            point[param] = int(round(value)) if param == "n" and math.isfinite(value) else value
             try:
                 params.append(build_params(point))
             except (InvalidParameter, ConfigError) as exc:

@@ -91,25 +91,51 @@ def _one_coordinate_terms(p: ModelParams, axis: np.ndarray):
     return s_term, c_term, slack
 
 
-def _row_bounds(p: ModelParams, s_term, c_term, axis, j0: int, j1: int, rows: int, slack: float):
+def _row_bounds(p: ModelParams, s_term, c_term, c_gap, s_gap, axis, j0: int, j1: int, rows: int,
+                slack: float):
     """Upper bound on the rounded welfare of every feasible cell of each
     row c_i (i < rows) over the columns j0 <= j < j1 of the grid:
 
         U_i = max_j s_term_j - c_term_i
-              - (gamma + zeta) n max(0, s_j0 - c_i)^2 + n max(r_d, r_s) + slack.
+              - (gamma + zeta) n max(0, s_j0 - c_i)^2 + n R_i + slack.
 
-    A feasible cell has frac in [0, 1]: c <= s gives 0 <= c - d <= s - d,
-    the s = d column sets frac = 0 and the c = s override frac = 1, so
-    its return r_d + frac (r_s - r_d) is at most max(r_d, r_s). Every s of
-    the block is at least s_j0, so s - c >= max(0, s_j0 - c_i) and the
-    penalty -(gamma + zeta) n (s - c)^2 is at most the bound's; rounding
-    is monotone, so the cell's square is no smaller than the bound's.
-    ``slack`` covers the remaining roundings (see _one_coordinate_terms).
+    ``c_gap`` and ``s_gap`` are the grid's arrays (c - d, and s - d with 1
+    on the columns s - d <= EPS_DEN); a cell's return is
+    r_d + frac (r_s - r_d) with frac = c_gap_i / s_gap_j.
+
+    When r_s < r_d, R_i = r_d + f_i (r_s - r_d) with
+    f_i = min(1, c_gap_i / s_gap_{j1-1}), and f_i is at most the frac of
+    every feasible cell of row i in the block: s_gap_j <= s_gap_{j1-1} on
+    the columns s - d > EPS_DEN, and rounded division by a larger divisor
+    is no larger; the c = s override sets frac = 1 >= f_i; and a column
+    s - d <= EPS_DEN, where frac = 0 off the diagonal, is the s = d column
+    or the last of a two-point axis [d, 1] (the axis steps by at least
+    1e-4), so its only feasible row off the diagonal is c = d, where c_gap
+    is exactly 0. n R_i is computed in the cell's order (times r_s - r_d,
+    plus r_d, times n), so by monotone rounding it is no smaller than the
+    cell's return term; the cell's -zeta (s - c)^2 only lowers that.
+
+    When r_s >= r_d, R_i = max(r_d, r_s): a feasible cell has frac <= 1,
+    since c <= s gives c - d <= s - d.
+
+    Every s of the block is at least s_j0, so s - c >= max(0, s_j0 - c_i)
+    and the penalty -(gamma + zeta) n (s - c)^2 is at most the bound's;
+    rounding is monotone, so the cell's square is no smaller than the
+    bound's. ``slack`` covers the remaining roundings (see
+    _one_coordinate_terms).
     """
     short = axis[j0] - axis[:rows]
     np.maximum(short, 0.0, out=short)
     penalty = np.multiply(np.square(short, out=short), (p.gamma + p.zeta) * p.n, out=short)
-    bound = (np.max(s_term[j0:j1]) + (p.n * max(p.r_d, p.r_s) + slack)) - c_term[:rows]
+    if p.r_s < p.r_d:
+        ret = np.minimum(c_gap[:rows] / s_gap[j1 - 1], 1.0)
+        ret *= p.r_s - p.r_d
+        ret += p.r_d
+        ret *= p.n
+        ret += slack
+    else:
+        ret = p.n * max(p.r_d, p.r_s) + slack
+    bound = (np.max(s_term[j0:j1]) + ret) - c_term[:rows]
     bound -= penalty
     return bound
 
@@ -129,12 +155,16 @@ def _grid_homogeneous(p: ModelParams, res: float):
     index, then smallest s index), so profile and value are bit-identical.
 
     Blocks are visited in descending order of their largest row bound
-    (_row_bounds), and a block evaluates only the contiguous range of rows
-    whose bound reaches the best cell value found so far. A skipped row's
-    cells all lie below a cell already found, so none of them can be the
-    dense argmax or tie with it, and the per-block bests, put back in
-    block order, give the dense winner. When the bounds are unused (see
-    _one_coordinate_terms) every row of every block is evaluated.
+    (_row_bounds). When r_s < r_d, a row's return term is bounded through
+    its smallest interpolation fraction in the block rather than by
+    n max(r_d, r_s), which only the c = d row reaches; most blocks then
+    fall below the best cell and are never evaluated. A block evaluates
+    only the contiguous range of rows whose bound reaches the best cell
+    value found so far. A skipped row's cells all lie below a cell already
+    found, so none of them can be the dense argmax or tie with it, and the
+    per-block bests, put back in block order, give the dense winner. When
+    the bounds are unused (see _one_coordinate_terms) every row of every
+    block is evaluated.
     """
     axis = _axis(p.d, 1.0, res)  # both the s and the c axis
     count = len(axis) * len(axis)
@@ -156,7 +186,7 @@ def _grid_homogeneous(p: ModelParams, res: float):
     if slack is not None:
         tops, lows = [], []
         for j0, j1, rows in zip(starts, ends, row_ends):
-            bound = _row_bounds(p, s_term, c_term, axis, j0, j1, rows, slack)
+            bound = _row_bounds(p, s_term, c_term, c_gap, s_gap, axis, j0, j1, rows, slack)
             tops.append(bound.max())
             lows.append(bound.min())
         order = np.argsort(np.negative(tops), kind="stable")
@@ -174,7 +204,7 @@ def _grid_homogeneous(p: ModelParams, res: float):
             # When even the lowest row bound reaches the incumbent, the
             # whole block is kept without recomputing its bounds.
             if lows[b] < incumbent:
-                bound = _row_bounds(p, s_term, c_term, axis, j0, j1, rows, slack)
+                bound = _row_bounds(p, s_term, c_term, c_gap, s_gap, axis, j0, j1, rows, slack)
                 keep = np.flatnonzero(bound >= incumbent)
                 lo, rows = int(keep[0]), int(keep[-1]) + 1
         s = axis[j0:j1]

@@ -75,6 +75,9 @@ class ModelParams:
             _check_positive(name, getattr(self, name))
         if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
             raise InvalidParameter("n", f"must be an integer >= 1, got {self.n!r}")
+        # The kernels hold n as a float64, which rounds integers above 2**53.
+        if self.n > 2**53:
+            raise InvalidParameter("n", f"must be at most 2**53, got {self.n!r}")
 
     def customer(self) -> CustomerSlice:
         return CustomerSlice(d=self.d, r_d=self.r_d, r_s=self.r_s, zeta=self.zeta)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from advisorgame import AdvisorGameError, ModelParams
+from advisorgame import AdvisorGameError, InvalidParameter, ModelParams
 from advisorgame.cli import (
     COLUMNS,
     ConfigError,
@@ -304,6 +304,17 @@ class TestSweep:
         assert captured.err == "error: missing parameter(s): beta\n"
         assert captured.out == ""
 
+    def test_customer_counts_beyond_the_doubles_are_error_rows(self, capsys):
+        base = {k: v for k, v in FIG1_VALUES.items() if k != "n"}
+        rows = run_sweep(base, "n", 1.0, 1e19, 3)
+        assert [r["flags"] for r in rows] == ["", "error:n", "error:n"]
+        argv = ["sweep", "--param", "n", "--range=1:inf:3"]
+        argv += [a for k, v in base.items() for a in (f"--{k}", repr(v))]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert [r["flags"] for r in parse_csv(captured.out)] == ["error:n"] * 3
+        assert captured.err == ""
+
     def test_bad_range_exit_code(self, config_path):
         code = main(["sweep", "--config", config_path, "--param", "zeta",
                      "--range", "10-25-7"])
@@ -407,3 +418,19 @@ class TestRobustness:
         for key, value in record.items():
             if isinstance(value, float):
                 assert math.isfinite(value), key
+
+    def test_customer_count_above_2_53_is_rejected(self, capsys, tmp_path, config_path):
+        # n is held as a float64 in the kernels; 2**53 + 1 would round.
+        with pytest.raises(InvalidParameter, match=r"^n: must be at most 2\*\*53, got 9007199254740993$"):
+            ModelParams(**dict(FIG1_VALUES, n=2**53 + 1))
+        with pytest.raises(InvalidParameter, match=r"^n: must be an integer >= 1, got 0$"):
+            ModelParams(**dict(FIG1_VALUES, n=0))
+        assert main(["analyze", "--config", config_path, "--n", "1e19"]) == 1
+        assert capsys.readouterr().err == "error: n: must be at most 2**53, got 10000000000000000000\n"
+        path = tmp_path / "huge.cfg"
+        path.write_text(FIG1_CONFIG.replace("n = 1", f"n = {2**53 + 1}"))
+        assert f"n = {2**53 + 1}" in path.read_text()
+        assert main(["analyze", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: n: must be at most 2**53, got 9007199254740993\n"
+        assert captured.out == ""

@@ -129,11 +129,46 @@ def _assert_matches_dense(p, res):
     assert value == ref_value or (np.isnan(value) and np.isnan(ref_value))
 
 
+def _block_bounds(p, axis, j0, j1, rows):
+    """_row_bounds of one block, from the grid's one-coordinate terms and
+    its gap arrays: c - d, and s - d with 1 where s - d <= EPS_DEN."""
+    s_term, c_term, slack = _one_coordinate_terms(p, axis)
+    assert slack is not None
+    c_gap = axis - p.d
+    s_gap = np.where(c_gap > EPS_DEN, c_gap, 1.0)
+    return _row_bounds(p, s_term, c_term, c_gap, s_gap, axis, j0, j1, rows, slack)
+
+
 def _d_for_axis_length(length, res):
     """A baseline d whose grid axis at ``res`` has ``length`` points."""
     d = 1.0 - (length - 1) * res
     assert len(_axis(d, 1.0, res)) == length
     return d
+
+
+def _return_bound_cases(fig1):
+    """Points and resolutions at the edges of the row bounds' return term."""
+    # The last arange point lies 2e-15 below 1, so the appended s = 1
+    # column has a row just over 1e-15 off the diagonal, outside the
+    # c = s override, with a fraction just below 1.
+    near = 0.5 - 2e-15
+    axis = _axis(near, 1.0, 1 / 64)
+    assert 1e-15 < axis[-1] - axis[-2] < 3e-15
+    rng = np.random.default_rng(9)
+    lower = [draw_params(rng, n=1000) for _ in range(10)]
+    cases = [(p.replace(r_d=max(p.r_d, p.r_s), r_s=min(p.r_d, p.r_s)), 1e-2) for p in lower]
+    cases += [(fig1.replace(d=near, r_d=0.9, r_s=0.1, zeta=0.05), 1 / 64),
+              (fig1.replace(d=near, r_d=0.9, r_s=0.1, zeta=0.05, n=1000), 1 / 64),
+              (fig1.replace(d=near, x=0.9, w=0.9, r_d=0.9, r_s=0.1, zeta=1e-3), 1 / 64)]
+    # r_s > r_d and r_s == r_d, where every row keeps n max(r_d, r_s).
+    cases += [(fig1.replace(r_s=0.35), 1e-2), (fig1.replace(r_s=0.9, zeta=0.05), 1e-2),
+              (fig1.replace(r_s=fig1.r_d), 1e-2), (fig1.replace(r_s=0.9, n=1000), 1e-3)]
+    # d close to 1: one block holds the s = d column and the last column,
+    # and at 1 - 5e-13 the axis is [d, 1] with both columns s - d <= EPS_DEN.
+    for d in (0.97, 1.0 - 5e-13):
+        cases += [(fig1.replace(d=d, x=1.0, w=1.0, r_d=0.9, r_s=0.1, zeta=1e-3), 1e-2),
+                  (fig1.replace(d=d, r_s=0.9), 1e-2)]
+    return cases
 
 
 class TestBlockedGrid:
@@ -242,14 +277,30 @@ class TestBlockedGrid:
         cases += [(base, 1 / 64), (base.replace(alpha=1.0, x=31.5 / 64), 1 / 64),
                   (base.replace(beta=1.0, w=40.5 / 64), 1 / 64),
                   (base.replace(x=0.6, w=0.5, alpha=2e-16, beta=3e-16, r_d=0.72, r_s=0.72), 1e-2)]
+        cases += _return_bound_cases(fig1)
         for p, res in cases:
             axis, sw = _dense_welfare(p, res)
-            s_term, c_term, slack = _one_coordinate_terms(p, axis)
-            assert slack is not None
             for j0 in range(0, len(axis), GRID_BLOCK):
                 j1 = min(j0 + GRID_BLOCK, len(axis))
-                bound = _row_bounds(p, s_term, c_term, axis, j0, j1, len(axis), slack)
+                bound = _block_bounds(p, axis, j0, j1, len(axis))
                 assert np.all(sw[:, j0:j1] <= bound[:, None])
+
+    def test_return_bound_cases_match_dense(self, fig1):
+        for p, res in _return_bound_cases(fig1):
+            _assert_matches_dense(p, res)
+
+    def test_bounds_prune_all_but_the_winning_block(self, fig1):
+        # r_s < r_d at fig1: each row's return is bounded through its
+        # smallest interpolation fraction in the block. With n max(r_d, r_s)
+        # instead, 23 of the 29 blocks reach the grid maximum.
+        axis = _axis(fig1.d, 1.0, 1e-3)
+        _, top = grid_max_welfare(fig1, GridSpec(1e-3))
+        tops = []
+        for j0 in range(0, len(axis), GRID_BLOCK):
+            j1 = min(j0 + GRID_BLOCK, len(axis))
+            tops.append(np.max(_block_bounds(fig1, axis, j0, j1, j1)))
+        assert len(tops) == 29
+        assert sum(t >= top for t in tops) <= 1
 
     def test_blocks_combine_in_block_order(self):
         # Every value here is a short dyadic fraction, so each cell is
@@ -260,9 +311,8 @@ class TestBlockedGrid:
         p = ModelParams(d=0.0, x=47 / 64, w=30 / 64, n=1, alpha=3.0, beta=128.0,
                         gamma=15.5, zeta=15.5, r_d=0.5, r_s=0.5)
         axis = _axis(p.d, 1.0, 1.0 / 64)
-        s_term, c_term, slack = _one_coordinate_terms(p, axis)
         first, second = (
-            np.max(_row_bounds(p, s_term, c_term, axis, j0, j0 + GRID_BLOCK, j0 + GRID_BLOCK, slack))
+            np.max(_block_bounds(p, axis, j0, j0 + GRID_BLOCK, j0 + GRID_BLOCK))
             for j0 in (0, GRID_BLOCK)
         )
         assert second > first
