@@ -95,24 +95,6 @@ def one_row(kernel, batch):
     return result
 
 
-def repeat_sum(values: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """``np.sum`` of ``n[i]`` copies of ``values[i, ...]`` along each row,
-    with the summation order of ``np.sum`` over an n-element profile and
-    without materializing the copies."""
-    values = np.asarray(values, dtype=float)
-    if len(n) and not np.count_nonzero(n != n[0]):
-        return _sum_copies(values, n[0])
-    out = np.empty_like(values)
-    for count in np.unique(n).tolist():
-        rows = n == count
-        out[rows] = _sum_copies(values[rows], count)
-    return out
-
-
-def _sum_copies(values: np.ndarray, count: float) -> np.ndarray:
-    return np.sum(np.broadcast_to(values[..., None], values.shape + (int(count),)), axis=-1)
-
-
 def where_max(a, b):
     """Python's ``max(a, b)``: ``a`` unless ``b > a``."""
     return np.where(b > a, b, a)

@@ -168,21 +168,23 @@ def run_sweep(base_values: dict, param: str, lo: float, hi: float, steps: int) -
     kernels SWEEP_BLOCK at a time."""
     if param not in PARAM_KEYS:
         raise ConfigError(f"unknown sweep parameter {param!r}")
+    # Also rejects ends whose difference overflows: linspace would turn
+    # them into NaN or inf values.
+    if not math.isfinite(hi - lo):
+        raise ConfigError(f"sweep range needs finite lo, hi and hi - lo, got {lo}:{hi}")
     if not (lo < hi):
         raise ConfigError(f"sweep range needs lo < hi, got {lo}:{hi}")
     if not (2 <= steps <= 10**6):
         raise ConfigError(f"sweep steps must lie in [2, 1000000], got {steps}")
     # Checked once: a missing base key would otherwise mark every row.
     _require(base_values, [k for k in PARAM_KEYS if k != param])
-    # A non-finite end gives NaN or inf values, each an error row below.
-    with np.errstate(invalid="ignore"):
-        sweep = np.linspace(lo, hi, steps).tolist()
+    sweep = np.linspace(lo, hi, steps).tolist()
     rows = []
     for start in range(0, steps, SWEEP_BLOCK):
         block, params, values = [], [], []
         for value in sweep[start:start + SWEEP_BLOCK]:
             point = dict(base_values)
-            point[param] = int(round(value)) if param == "n" and math.isfinite(value) else value
+            point[param] = int(round(value)) if param == "n" else value
             try:
                 params.append(build_params(point))
             except (InvalidParameter, ConfigError) as exc:

@@ -15,6 +15,18 @@ As in ``equilibria``, the closed forms are written once over a
 them on a batch of one. The welfare kernel needs only the quartic's
 roots; its classification invariants are computed by ``classify_quartic``
 alone, so an invariant that overflows fails only that call.
+
+``welfare_arrays`` holds every profile it evaluates as one (slot, row)
+array of all-equal profiles (c, s): slots 0-3 are the quartic's roots,
+4-6 the optima of the faces c = d, s = 1 and c = s, 7 and 8 the
+equilibria P* and P+. One expression gives the welfare of every slot,
+
+    -alpha (s - x)^2 - beta n (w - c)^2 - (gamma + zeta) n (s - c)^2
+        + r_d n + n (c - d) (r_s - r_d) / (s - d),
+
+whose last term is taken as 0 on the face c = d, as n (r_s - r_d) on the
+face c = s and as 0 on rows with r_s == r_d. The maximum is chosen among
+slots 0-6, and the PoS divides the welfare of slot 7 or 8 by it.
 """
 
 from __future__ import annotations
@@ -25,7 +37,7 @@ from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .batch import ParamBatch, RowErrors, one_row, repeat_sum, where_max, where_min
+from .batch import ParamBatch, RowErrors, one_row, where_max, where_min
 from .errors import (
     DegenerateDenominator,
     DegenerateLeadingCoefficient,
@@ -294,20 +306,6 @@ def _stationary_customer(P: ParamBatch, s, ratio):
     return (2.0 * P.beta * P.w + 2.0 * gz * s + ratio) / (2.0 * P.beta + 2.0 * gz)
 
 
-def _uniform_welfare(P: ParamBatch, c, s):
-    """``model.social_welfare`` at the all-equal profiles (c, s), with
-    its sums over the n customers; rows must keep s - d off 0 unless
-    r_s == r_d."""
-    sums = repeat_sum(np.array([np.square(P.w - c), np.square(s - c), c - P.d]).T, P.n)
-    base = (
-        -P.alpha * np.square(s - P.x)
-        - P.beta * sums[:, 0]
-        - (P.gamma + P.zeta) * sums[:, 1]
-        + P.r_d * P.n
-    )
-    return np.where(P.equal, base, base + P.dr / (s - P.d) * sums[:, 2])
-
-
 class WelfareArrays(NamedTuple):
     """The welfare optimum and PoS bookkeeping of every row of a batch.
 
@@ -360,86 +358,65 @@ def welfare_arrays(P: ParamBatch, errors: RowErrors) -> WelfareArrays:
     welfare of an admissible equilibrium exceeds the maximum by more than
     EQUILIBRIUM_WELFARE_TOL * max(1, |welfare|).
     """
-    roots = root_arrays(coefficient_arrays(P), errors)
-    size = len(P)
+    roots = root_arrays(coefficient_arrays(P), errors).T
     gz = P.gamma + P.zeta
-
-    y = roots.real
-    rows, cols = np.nonzero(_near_real(roots) & (EPS_DEN < y) & (y <= 1.0 - P.d[:, None] + 1e-15))
-    c = s = np.zeros(0)
-    if rows.size:
-        at = P.take(rows)
-        s = at.d + y[rows, cols]
-        c = _stationary_customer(at, s, np.where(at.equal, 0.0, at.dr / (s - at.d)))
-        inside = (at.d < c) & (c < s)
-        rows, cols, c, s = rows[inside], cols[inside], c[inside], where_min(s[inside], 1.0)
-        singular = ~P.equal[rows] & (np.abs(s - P.d[rows]) <= EPS_DEN)
-        errors.add(singular, lambda i: DegenerateDenominator(
-            f"s = {s[i].item()} is within {EPS_DEN} of d = {P.d[rows[i]].item()}"), rows)
-
-    # Face c = d: the interpolation term is exactly zero.
     gzn, bn = gz * P.n, P.beta * P.n
+
+    # Slots 0-3: the quartic roots, each with its stationary customer.
+    y = roots.real
+    s_root = P.d + y
+    c_root = _stationary_customer(P, s_root, np.where(P.equal, 0.0, P.dr / (s_root - P.d)))
+    interior = (_near_real(roots) & (EPS_DEN < y) & (y <= 1.0 - P.d + 1e-15)
+                & (P.d < c_root) & (c_root < s_root))
+    s_root = where_min(s_root, 1.0)
+    singular = interior & ~P.equal & (np.abs(s_root - P.d) <= EPS_DEN)
+    errors.add(singular.any(axis=0), lambda i: DegenerateDenominator(
+        f"s = {s_root[np.argmax(singular[:, i]), i].item()} is within {EPS_DEN} of d = {P.d[i].item()}"))
+
+    # Slot 4, face c = d; slot 5, face s = 1 (skipped when the domain
+    # collapses to the corner d = 1); slot 6, face c = s.
     s_cd = where_min(where_max((P.alpha * P.x + gzn * P.d) / (P.alpha + gzn), P.d), 1.0)
-    # Face s = 1 (skipped when the domain collapses to the corner d = 1).
-    top = 1.0 - P.d > EPS_DEN
     slope = np.where(P.equal, 0.0, P.dr / (1.0 - P.d))
     c_top = where_min(where_max(_stationary_customer(P, 1.0, slope), P.d), 1.0)
-    # Face c = s: the interpolation term equals n (r_s - r_d) identically.
     lo = np.where(P.equal, P.d, where_min(P.d + 1e-9, 1.0))
     s_cs = where_min(where_max((P.alpha * P.x + bn * P.w) / (P.alpha + bn), lo), 1.0)
-    sq = np.square(np.array([
-        s_cd - P.x, P.w - P.d, s_cd - P.d,
-        1.0 - P.x, P.w - c_top, 1.0 - c_top,
-        s_cs - P.x, P.w - s_cs,
-    ]))
-    r_dn = P.r_d * P.n
-    f_cd = -P.alpha * sq[0] - bn * sq[1] - gzn * sq[2] + r_dn
-    f_top = -P.alpha * sq[3] - bn * sq[4] - gzn * sq[5] + r_dn + slope * P.n * (c_top - P.d)
-    f_cs = -P.alpha * sq[6] - bn * sq[7] + r_dn + P.n * P.dr
 
+    # Slots 7 and 8: the equilibria P* and P+.
     eq = equilibrium_arrays(P, errors)
-    star, dagger = (np.flatnonzero(v) for v in eq.geometric)
-    sw_at_star, sw_at_dagger = np.full((2, size), np.nan)
-    at = np.concatenate([rows, star, dagger])
-    if at.size:
-        values = _uniform_welfare(
-            P.take(at),
-            np.concatenate([c, eq.c[0, star], eq.c[1, dagger]]),
-            np.concatenate([s, eq.roots[0, star], eq.roots[1, dagger]]),
-        )
-        k, m = len(rows), len(rows) + len(star)
-        interior, sw_at_star[star], sw_at_dagger[dagger] = values[:k], values[k:m], values[m:]
+    c = np.concatenate([c_root, [P.d, c_top, s_cs], eq.c])
+    s = np.concatenate([s_root, [s_cd, np.ones(len(P)), s_cs], eq.roots])
+    # The interpolation term n (c - d) (r_s - r_d) / (s - d) is set exactly
+    # on the faces: 0 on c = d, where s may equal d, and n (r_s - r_d) on
+    # c = s.
+    ret = P.dr / (s - P.d) * P.n * (c - P.d)
+    ret[4], ret[6] = 0.0, P.n * P.dr
+    value = (
+        -P.alpha * np.square(s - P.x)
+        - bn * np.square(P.w - c)
+        - gzn * np.square(s - c)
+        + P.r_d * P.n
+        + np.where(P.equal, 0.0, ret)
+    )
 
-    # Candidates in the scalar order: interior (by root), then the faces
-    # c = d, s = 1 and c = s. The first one a row has is taken whatever its
-    # value (NaN included); a later one wins only when strictly greater.
-    candidates = []  # (present, value, location, c, s)
-    for j in range(4):
-        on = cols == j
-        if np.count_nonzero(on):
-            present, value, cc, ss = np.zeros(size, dtype=bool), np.zeros(size), np.zeros(size), np.zeros(size)
-            present[rows[on]] = True
-            value[rows[on]], cc[rows[on]], ss[rows[on]] = interior[on], c[on], s[on]
-            candidates.append((present, value, 0, cc, ss))
-    candidates += [(True, f_cd, 1, P.d, s_cd), (top, f_top, 2, c_top, 1.0), (True, f_cs, 3, s_cs, s_cs)]
-    have = np.zeros(size, dtype=bool)
-    sw_max, winner = np.full(size, np.nan), np.zeros(size, dtype=np.intp)
-    for k, (present, value, _, _, _) in enumerate(candidates):
-        take = present & (~have | (value > sw_max))
-        if np.count_nonzero(take):
-            sw_max = np.where(take, value, sw_max)
-            winner = np.where(take, k, winner)
-        have = have | present
-    location = np.choose(winner, [cand[2] for cand in candidates])
-    arg_c = np.choose(winner, [cand[3] for cand in candidates])
-    arg_s = np.choose(winner, [cand[4] for cand in candidates])
+    # The first candidate a row has wins whatever its value (NaN
+    # included); a later one wins only when strictly greater.
+    present = np.ones((7, len(P)), dtype=bool)
+    present[:4], present[5] = interior, 1.0 - P.d > EPS_DEN
+    candidates = value[:7]
+    first = np.argmax(present, axis=0)
+    cols = np.arange(len(P))
+    top = np.fmax.reduce(np.where(present, candidates, -np.inf), axis=0)
+    winner = np.where(np.isnan(candidates[first, cols]), first,
+                      np.argmax(present & (candidates == top), axis=0))
+    sw_max = candidates[winner, cols]
+    sw_at_star, sw_at_dagger = value[7:]
 
     star_geo, dagger_geo = eq.geometric
     # The maximum bounds the welfare of every admissible equilibrium.
-    for admissible, value, name in ((star_geo, sw_at_star, "P*"), (dagger_geo, sw_at_dagger, "P+")):
-        above = admissible & (value > sw_max + EQUILIBRIUM_WELFARE_TOL * np.maximum(1.0, np.abs(value)))
-        errors.add(above, lambda i, value=value, name=name: NumericalContractError(
-            f"welfare {value[i].item()!r} at {name} exceeds the maximum {sw_max[i].item()!r}"))
+    for admissible, welfare, name in ((star_geo, sw_at_star, "P*"), (dagger_geo, sw_at_dagger, "P+")):
+        above = admissible & (welfare > sw_max + EQUILIBRIUM_WELFARE_TOL * np.maximum(1.0, np.abs(welfare)))
+        errors.add(above, lambda i, welfare=welfare, name=name: NumericalContractError(
+            f"welfare {welfare[i].item()!r} at {name} exceeds the maximum {sw_max[i].item()!r}"))
     no_equilibria = ~star_geo & ~dagger_geo
     negative = sw_max < 0.0
     zero = ~negative & (np.abs(sw_max) <= POS_TIE_TOL)
@@ -447,9 +424,9 @@ def welfare_arrays(P: ParamBatch, errors: RowErrors) -> WelfareArrays:
     pos = np.where(no_equilibria | negative | zero, np.nan, best / sw_max)
     return WelfareArrays(
         sw_max=sw_max,
-        location=location,
-        arg_c=arg_c,
-        arg_s=arg_s,
+        location=np.maximum(winner - 3, 0),
+        arg_c=c[winner, cols],
+        arg_s=s[winner, cols],
         sw_at_star=sw_at_star,
         sw_at_dagger=sw_at_dagger,
         pos=pos,

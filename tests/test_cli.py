@@ -310,10 +310,19 @@ class TestSweep:
         assert [r["flags"] for r in rows] == ["", "error:n", "error:n"]
         argv = ["sweep", "--param", "n", "--range=1:inf:3"]
         argv += [a for k, v in base.items() for a in (f"--{k}", repr(v))]
-        assert main(argv) == 0
+        assert main(argv) == 1
         captured = capsys.readouterr()
-        assert [r["flags"] for r in parse_csv(captured.out)] == ["error:n"] * 3
-        assert captured.err == ""
+        assert captured.err == "error: sweep range needs finite lo, hi and hi - lo, got 1.0:inf\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("sweep_range", ["10:inf:3", "nan:25:3", "-1e308:1e308:3"])
+    def test_non_finite_range_exit_code(self, capsys, config_path, sweep_range):
+        # linspace would turn each of these into NaN or inf values.
+        code = main(["sweep", "--config", config_path, "--param", "zeta", f"--range={sweep_range}"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: sweep range needs finite lo, hi and hi - lo, got ")
+        assert captured.out == ""
 
     def test_bad_range_exit_code(self, config_path):
         code = main(["sweep", "--config", config_path, "--param", "zeta",
@@ -434,3 +443,14 @@ class TestRobustness:
         captured = capsys.readouterr()
         assert captured.err == "error: n: must be at most 2**53, got 9007199254740993\n"
         assert captured.out == ""
+
+    def test_customer_count_of_2_53_is_analyzed(self, capsys, config_path):
+        # The welfare of a profile is a closed form in n, so its cost does
+        # not grow with the number of customers.
+        assert main(["analyze", "--config", config_path, "--n", str(2**53), "--r_s", "0.3"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        (row,) = parse_csv(captured.out)
+        cells = [v for v in row.values() if isinstance(v, float)]
+        assert cells and all(math.isfinite(v) for v in cells)
+        assert row["pos"] is not None

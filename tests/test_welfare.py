@@ -363,3 +363,41 @@ class TestPriceOfStability:
         p = fig1.replace(r_s=0.3, w=0.4)
         report = maximize_welfare(p)
         assert report.pos == pytest.approx(1.0, abs=1e-9)
+
+    def test_unity_when_the_optimum_is_the_equal_returns_equilibrium(self):
+        # n = 84 of the golden sweep n-2.csv: with r_s = r_d and d > x, P*
+        # sits at c = s = d and is the face:c=d optimum.
+        p = ModelParams(d=0.6730048172682889, x=0.25507013604866857, w=0.24835892172156948,
+                        n=84, alpha=0.9341032125302025, beta=1.2564041391803007,
+                        gamma=0.08350186146115848, zeta=19.758997575275608,
+                        r_d=0.23142996817631167, r_s=0.23142996817631167)
+        report = maximize_welfare(p)
+        assert report.location == "face:c=d"
+        assert report.sw_at_star == report.sw_max
+        assert report.pos == 1.0
+
+    def test_an_optimal_equilibrium_has_the_optimum_welfare(self):
+        # One formula evaluates the welfare of every candidate and of both
+        # equilibria, so a profile gets one value wherever it appears.
+        rng = np.random.default_rng(59)
+        hits = 0
+        for k in range(1000):
+            r_d = rng.uniform()
+            p = ModelParams(
+                d=rng.uniform(), x=rng.uniform(), w=rng.uniform(),
+                n=int(rng.choice([1, 2, 3, 10, 84, 1000])),
+                alpha=10.0 ** rng.uniform(-2, 2), beta=10.0 ** rng.uniform(-2, 2),
+                gamma=10.0 ** rng.uniform(-2, 2), zeta=10.0 ** rng.uniform(-2, 2),
+                r_d=r_d, r_s=r_d if k % 2 else rng.uniform(),
+            )
+            report = maximize_welfare(p)
+            eq = report.equilibria
+            for profile, value, admissible in (
+                (eq.p_star, report.sw_at_star, eq.star_admissible),
+                (eq.p_dagger, report.sw_at_dagger, eq.dagger_admissible),
+            ):
+                if admissible and profile == report.argmax:
+                    hits += 1
+                    assert value == report.sw_max
+            assert report.pos is None or report.pos <= 1.0
+        assert hits >= 100
