@@ -48,7 +48,7 @@ for name, prof in (("P*", eq.p_star), ("P+", eq.p_dagger)):
           f"survives 1000 random deviations: {nash}")
 
 start = OpinionProfile.uniform(0.28, 0.35, 1)
-trace = best_response_dynamics(p, start, tol=1e-9)
+trace = best_response_dynamics(p, start)
 print(f"\ndynamics from (c, s) = (0.28, 0.35): converged = {trace.converged} "
       f"after {trace.iterations_used} rounds")
 print(f"fixed point: c = {trace.fixed_point.c[0]:.9f}, "

@@ -42,7 +42,9 @@ class ParamBatch:
         self.equal = r_s == r_d
         self.any_equal = bool(np.count_nonzero(self.equal))
         self.dr = r_s - r_d
-        self.gn = gamma * n
+        # An overflowing gamma * n is inf here; the kernels reject it.
+        with np.errstate(over="ignore"):
+            self.gn = gamma * n
 
     @classmethod
     def of(cls, params) -> "ParamBatch":

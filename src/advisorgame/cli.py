@@ -187,10 +187,10 @@ def run_sweep(base_values: dict, param: str, lo: float, hi: float, steps: int) -
             point[param] = int(round(value)) if param == "n" else value
             try:
                 params.append(build_params(point))
-            except (InvalidParameter, ConfigError) as exc:
+            except InvalidParameter as exc:
                 row = {k: None for k in COLUMNS}
                 row["value"] = value
-                row["flags"] = f"error:{getattr(exc, 'field', param)}"
+                row["flags"] = f"error:{exc.field}"
                 block.append(row)
                 continue
             block.append(None)
@@ -271,7 +271,7 @@ def run_oracle_check(p: ModelParams, seed: int, resolution: float, stream) -> bo
         if prof.s - p.d <= 1e-9:
             continue
         report(f"{name} Nash deviation check", perturbation_check(p, prof, 1000, seed=seed))
-        trace = best_response_dynamics(p, prof, max_iter=10, tol=1e-9)
+        trace = best_response_dynamics(p, prof, max_iter=10)
         report(f"{name} is a best-response fixed point", trace.converged)
     return ok
 
@@ -280,23 +280,21 @@ def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="advisorgame")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp):
+    analyze = sub.add_parser("analyze", help="analyze a single parameter point")
+    sweep = sub.add_parser("sweep", help="1-D parameter sweep")
+    oracle = sub.add_parser("oracle-check", help="run brute-force cross-checks")
+    for sp in (analyze, sweep, oracle):
         sp.add_argument("--config", help="flat key = value parameter file")
         for key in PARAM_KEYS:
             sp.add_argument(f"--{key}", type=float, default=None, help=f"override {key}")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
+    # Each subcommand takes only the flags it reads.
+    for sp in (analyze, sweep):
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--grid-resolution", type=float, default=1e-3)
-
-    sp = sub.add_parser("analyze", help="analyze a single parameter point")
-    add_common(sp)
-    sp = sub.add_parser("sweep", help="1-D parameter sweep")
-    add_common(sp)
-    sp.add_argument("--param", required=True, help="parameter to sweep")
-    sp.add_argument("--range", required=True, dest="sweep_range", help="lo:hi:steps")
-    sp = sub.add_parser("oracle-check", help="run brute-force cross-checks")
-    add_common(sp)
+    sweep.add_argument("--param", required=True, help="parameter to sweep")
+    sweep.add_argument("--range", required=True, dest="sweep_range", help="lo:hi:steps")
+    oracle.add_argument("--seed", type=int, default=0, help="seed of the random Nash deviations")
+    oracle.add_argument("--grid-resolution", type=float, default=1e-3, help="step of the welfare grid")
     return parser
 
 

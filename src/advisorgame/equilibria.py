@@ -38,7 +38,6 @@ CRITICAL_ZETA_TOL = 1e-9
 
 class AdmissibilitySource(enum.Enum):
     GEOMETRIC = "geometric"
-    REGION_FORMULA = "region_formula"
     BOTH = "both"
 
 
@@ -60,10 +59,6 @@ class QuadraticRoots:
     @property
     def real(self) -> bool:
         return self.a is not None
-
-    @property
-    def degenerate(self) -> bool:
-        return self.a is not None and self.a == self.b
 
 
 @dataclass(frozen=True)

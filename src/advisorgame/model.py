@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateDenominator
-from .params import EPS_DEN, HeterogeneousParams, ModelParams, OpinionProfile
+from .params import EPS_DEN, ModelParams, OpinionProfile
 
 
 def advisor_utilities(p, c, s) -> np.ndarray:
@@ -114,10 +114,6 @@ def total_utility(params, q: OpinionProfile) -> float:
     definitional cross-check of :func:`social_welfare`.
     """
     total = advisor_utility(params, q)
-    if isinstance(params, HeterogeneousParams):
-        slices = [params.customer(i) for i in range(params.n)]
-    else:
-        slices = [params.customer()] * params.n
-    for sl, c_i in zip(slices, q.c):
+    for sl, c_i in zip(params.customers(), q.c):
         total += customer_utility(sl, c_i, q.s)
     return total

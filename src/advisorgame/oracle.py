@@ -30,6 +30,12 @@ GRID_BLOCK = 32
 # Cells of one (deviation x customer) array in the Nash deviation check.
 DEVIATION_CELLS = 1 << 16
 HETERO_MAX_N = 3
+# A deviation must gain more than this to break the Nash property.
+IMPROVEMENT_TOL = 1e-9
+# The dynamics stop when successive iterates are this close (sup-distance).
+DYNAMICS_TOL = 1e-9
+# lipschitz_bound covers the feasible points with s - d at least this.
+S_FLOOR_GAP = 0.05
 
 
 @dataclass(frozen=True)
@@ -292,8 +298,8 @@ def grid_max_welfare(params, grid: GridSpec):
     return _grid_homogeneous(params, grid.resolution)
 
 
-def lipschitz_bound(params, s_floor_gap: float = 0.05) -> float:
-    """Sup-norm bound on the welfare gradient over {s - d >= s_floor_gap}.
+def lipschitz_bound(params) -> float:
+    """Sup-norm bound on the welfare gradient over {s - d >= S_FLOOR_GAP}.
 
     The bound covers the bulk of the feasible set; in the excluded strip
     near s = d the grid still contains the exact c = d and c = s lines,
@@ -304,31 +310,24 @@ def lipschitz_bound(params, s_floor_gap: float = 0.05) -> float:
     else:
         spread = abs(params.r_s - params.r_d)
     n = params.n
-    per_c = 2.0 * params.beta + 2.0 * (params.gamma + params.zeta) + spread / s_floor_gap
+    per_c = 2.0 * params.beta + 2.0 * (params.gamma + params.zeta) + spread / S_FLOOR_GAP
     per_s = (
         2.0 * params.alpha
         + 2.0 * (params.gamma + params.zeta) * n
-        + n * spread / s_floor_gap
+        + n * spread / S_FLOOR_GAP
     )
     return n * per_c + per_s
 
 
-def best_response_dynamics(
-    params,
-    start: OpinionProfile,
-    max_iter: int = 100_000,
-    tol: float = 1e-9,
-    simultaneous: bool = False,
-) -> DynamicsTrace:
-    """Iterated best responses, advisor first (or simultaneous updates).
+def best_response_dynamics(params, start: OpinionProfile, max_iter: int = 100_000) -> DynamicsTrace:
+    """Iterated best responses, advisor first, then every customer to the
+    advisor's new stated opinion.
 
     The game defines no canonical dynamics; this is one natural choice.
-    Stops on a sup-distance between successive iterates below ``tol``.
+    Stops on a sup-distance between successive iterates of at most
+    ``DYNAMICS_TOL``.
     """
-    if isinstance(params, HeterogeneousParams):
-        slices = [params.customer(i) for i in range(params.n)]
-    else:
-        slices = [params.customer()] * params.n
+    slices = params.customers()
     d_max = max(sl.d for sl in slices)
     if start.s - d_max <= EPS_DEN:
         raise DegenerateDenominator("starting stated opinion is at or below max d_i")
@@ -339,16 +338,12 @@ def best_response_dynamics(
     iterations = 0
     for iterations in range(1, max_iter + 1):
         s_new = advisor_best_response(params, current.c)
-        if simultaneous:
-            c_src = current.s
-        else:
-            c_src = s_new
         for sl in slices:
-            if abs(c_src - sl.d) <= EPS_DEN:
+            if abs(s_new - sl.d) <= EPS_DEN:
                 raise DegenerateDenominator(
-                    f"iterate drove s = {c_src} within {EPS_DEN} of d_i = {sl.d}"
+                    f"iterate drove s = {s_new} within {EPS_DEN} of d_i = {sl.d}"
                 )
-        c_new = tuple(customer_best_response(sl, c_src) for sl in slices)
+        c_new = tuple(customer_best_response(sl, s_new) for sl in slices)
         nxt = OpinionProfile(c=c_new, s=s_new)
         dist = max(
             abs(nxt.s - current.s),
@@ -356,7 +351,7 @@ def best_response_dynamics(
         )
         iterates.append(nxt)
         current = nxt
-        if dist <= tol:
+        if dist <= DYNAMICS_TOL:
             converged = True
             break
     return DynamicsTrace(
@@ -367,13 +362,7 @@ def best_response_dynamics(
     )
 
 
-def perturbation_check(
-    params,
-    q: OpinionProfile,
-    trials: int,
-    seed: int = 0,
-    improvement_tol: float = 1e-9,
-) -> bool:
+def perturbation_check(params, q: OpinionProfile, trials: int, seed: int = 0) -> bool:
     """Direct Nash check: no unilateral random deviation may improve a player.
 
     ``trials`` random deviations are drawn per player; trials = 0 is
@@ -384,21 +373,16 @@ def perturbation_check(
         warnings.warn("trials <= 0: the Nash check is vacuous", RuntimeWarning)
         return True
     rng = np.random.default_rng(seed)
-    if isinstance(params, HeterogeneousParams):
-        slices = [params.customer(i) for i in range(params.n)]
-    else:
-        slices = [params.customer()] * params.n
-
     base_a = advisor_utility(params, q)
     s_dev = rng.uniform(0.0, 1.0, size=trials)
     # Chunks of deviations keep the (deviation x customer) array small.
     step = max(1, DEVIATION_CELLS // len(q.c))
     for k in range(0, trials, step):
-        if np.any(advisor_utilities(params, q.c, s_dev[k : k + step]) > base_a + improvement_tol):
+        if np.any(advisor_utilities(params, q.c, s_dev[k : k + step]) > base_a + IMPROVEMENT_TOL):
             return False
-    for i, sl in enumerate(slices):
+    for i, sl in enumerate(params.customers()):
         base_i = customer_utility(sl, q.c[i], q.s)
         c_dev = rng.uniform(sl.d, max(q.s, sl.d), size=trials)
-        if np.any(customer_utility(sl, c_dev, q.s) > base_i + improvement_tol):
+        if np.any(customer_utility(sl, c_dev, q.s) > base_i + IMPROVEMENT_TOL):
             return False
     return True

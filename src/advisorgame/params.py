@@ -82,6 +82,9 @@ class ModelParams:
     def customer(self) -> CustomerSlice:
         return CustomerSlice(d=self.d, r_d=self.r_d, r_s=self.r_s, zeta=self.zeta)
 
+    def customers(self) -> list:
+        return [self.customer()] * self.n
+
     def replace(self, **changes) -> "ModelParams":
         from dataclasses import replace as _replace
 
@@ -90,11 +93,10 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class HeterogeneousParams:
-    """Game parameters with per-customer baseline opinions and returns."""
+    """Game parameters with per-customer baseline opinions and returns; n = len(d_i)."""
 
     x: float
     w: float
-    n: int
     alpha: float
     beta: float
     gamma: float
@@ -108,21 +110,25 @@ class HeterogeneousParams:
             _check_unit(name, getattr(self, name))
         for name in _POSITIVE_FIELDS:
             _check_positive(name, getattr(self, name))
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
-            raise InvalidParameter("n", f"must be an integer >= 1, got {self.n!r}")
         object.__setattr__(self, "d_i", tuple(float(v) for v in self.d_i))
         object.__setattr__(self, "r_d_i", tuple(float(v) for v in self.r_d_i))
-        if len(self.d_i) != self.n:
-            raise InvalidParameter("d_i", f"expected {self.n} entries, got {len(self.d_i)}")
-        if len(self.r_d_i) != self.n:
-            raise InvalidParameter("r_d_i", f"expected {self.n} entries, got {len(self.r_d_i)}")
+        if not (0 < len(self.d_i) == len(self.r_d_i)):
+            lengths = f"{len(self.r_d_i)} for {len(self.d_i)}"
+            raise InvalidParameter("r_d_i", f"needs one entry per d_i entry (>= 1), got {lengths}")
         for i, v in enumerate(self.d_i):
             _check_unit(f"d_i[{i}]", v)
         for i, v in enumerate(self.r_d_i):
             _check_unit(f"r_d_i[{i}]", v)
 
+    @property
+    def n(self) -> int:
+        return len(self.d_i)
+
     def customer(self, i: int) -> CustomerSlice:
         return CustomerSlice(d=self.d_i[i], r_d=self.r_d_i[i], r_s=self.r_s, zeta=self.zeta)
+
+    def customers(self) -> list:
+        return [self.customer(i) for i in range(self.n)]
 
 
 @dataclass(frozen=True)

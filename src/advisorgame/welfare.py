@@ -51,6 +51,8 @@ QUARTIC_RESIDUAL_TOL = 1e-8
 REAL_ROOT_IMAG_TOL = 1e-9
 EQUILIBRIUM_WELFARE_TOL = 1e-9
 POS_TIE_TOL = 1e-12
+# Distance within which boundary_membership puts a point on a face.
+BOUNDARY_TOL = 1e-12
 
 LOCATIONS = ("interior", "face:c=d", "face:s=1", "face:c=s")
 
@@ -135,11 +137,19 @@ def root_arrays(omega: np.ndarray, errors: RowErrors) -> np.ndarray:
     contract is |p(root)| <= 1e-8 * sum|omega_i| * max(1, |root|)^4; the
     magnitude factor only matters for roots far outside the unit disc,
     where bare evaluation round-off already exceeds the unscaled bound.
+    A row whose companion matrix has an entry that overflows fails.
     """
     leading = omega[:, 4]
     tiny = np.abs(leading) <= 1e-300
     errors.add(tiny, lambda i: DegenerateLeadingCoefficient(f"leading coefficient {leading[i].item()!r}"))
     solvable = _check_finite(omega, errors) & ~tiny
+    # The first row of the size-4 companion matrix, -omega_3 / omega_4 down
+    # to -omega_0 / omega_4; a smaller matrix takes its first entries.
+    top = -omega[:, 3::-1] / omega[:, 4:]
+    overflow = solvable & ~np.isfinite(top).all(axis=1)
+    errors.add(overflow, lambda i: NumericalContractError(
+        f"the companion matrix of the quartic coefficients {tuple(omega[i].tolist())!r} overflows"))
+    solvable &= ~overflow
     roots = np.full((len(omega), 4), np.nan, dtype=complex)
     trailing, sizes = np.zeros(len(omega), dtype=np.intp), [0]
     if np.count_nonzero(omega[:, 0] == 0.0):
@@ -150,9 +160,8 @@ def root_arrays(omega: np.ndarray, errors: RowErrors) -> np.ndarray:
         size = 4 - zeros
         roots[rows, size:] = 0.0
         if size and np.count_nonzero(rows):
-            lead = omega[rows][:, :zeros - 1 if zeros else None:-1]  # omega_4 down to the last nonzero
-            companion = np.zeros((len(lead), size, size))
-            companion[:, 0, :] = -lead[:, 1:] / lead[:, :1]
+            companion = np.zeros((np.count_nonzero(rows), size, size))
+            companion[:, 0, :] = top[rows, :size]
             below = np.arange(size - 1)
             companion[:, below + 1, below] = 1.0
             roots[rows, :size] = np.linalg.eigvals(companion)
@@ -211,7 +220,8 @@ def solve_quartic(omega) -> np.ndarray:
     |p(root)| <= 1e-8 * sum|omega_i| * max(1, |root|)^4; the magnitude
     factor only matters for roots far outside the unit disc, where bare
     evaluation round-off already exceeds the unscaled bound. Coefficients
-    that are not finite raise NumericalContractError.
+    that are not finite, or whose companion matrix overflows, raise
+    NumericalContractError.
     """
     return one_row(root_arrays, _coefficient_row(omega))[0]
 
@@ -277,14 +287,16 @@ def classify_quartic(omega) -> QuarticAnalysis:
     )
 
 
-def boundary_membership(p: ModelParams, q: OpinionProfile, tol: float = 1e-12) -> bool:
+def boundary_membership(p: ModelParams, q: OpinionProfile) -> bool:
     """Whether ``q`` lies on the boundary of the feasible set.
 
     The boundary is the set of feasible points where at least one factor
-    of prod_i (c_i - d)(s - c_i) * (s - 1) vanishes.
+    of prod_i (c_i - d)(s - c_i) * (s - 1) vanishes, each to within
+    ``BOUNDARY_TOL``.
     """
     c = q.c_array()
     s = q.s
+    tol = BOUNDARY_TOL
     if not (
         np.all(c >= p.d - tol)
         and np.all(c <= 1.0 + tol)
@@ -354,9 +366,10 @@ def welfare_arrays(P: ParamBatch, errors: RowErrors) -> WelfareArrays:
     their reconstructed customer coordinate inside (d, s); the three
     symmetric faces are each solved in closed form: the welfare along a
     face is a concave quadratic, maximized at its vertex clamped to the
-    face's interval. A row fails with NumericalContractError when the
-    welfare of an admissible equilibrium exceeds the maximum by more than
-    EQUILIBRIUM_WELFARE_TOL * max(1, |welfare|).
+    face's interval. The maximum is the first largest candidate. A row
+    fails with NumericalContractError when a candidate's welfare or that
+    of an admissible equilibrium is not finite, or when the latter exceeds
+    the maximum by more than EQUILIBRIUM_WELFARE_TOL * max(1, |welfare|).
     """
     roots = root_arrays(coefficient_arrays(P), errors).T
     gz = P.gamma + P.zeta
@@ -398,20 +411,22 @@ def welfare_arrays(P: ParamBatch, errors: RowErrors) -> WelfareArrays:
         + np.where(P.equal, 0.0, ret)
     )
 
-    # The first candidate a row has wins whatever its value (NaN
-    # included); a later one wins only when strictly greater.
-    present = np.ones((7, len(P)), dtype=bool)
-    present[:4], present[5] = interior, 1.0 - P.d > EPS_DEN
-    candidates = value[:7]
-    first = np.argmax(present, axis=0)
+    star_geo, dagger_geo = eq.geometric
+    present = np.ones((9, len(P)), dtype=bool)
+    present[:4], present[5], present[7:] = interior, 1.0 - P.d > EPS_DEN, eq.geometric
+    broken = present & ~np.isfinite(value)
+
+    def not_finite(i):
+        j = int(np.argmax(broken[:, i]))
+        name = ("P*", "P+")[j - 7] if j >= 7 else LOCATIONS[max(j - 3, 0)]
+        return NumericalContractError(f"welfare {value[j, i].item()!r} at {name} is not finite")
+
+    errors.add(broken.any(axis=0), not_finite)
     cols = np.arange(len(P))
-    top = np.fmax.reduce(np.where(present, candidates, -np.inf), axis=0)
-    winner = np.where(np.isnan(candidates[first, cols]), first,
-                      np.argmax(present & (candidates == top), axis=0))
-    sw_max = candidates[winner, cols]
+    winner = np.argmax(np.where(present[:7], value[:7], -np.inf), axis=0)
+    sw_max = value[winner, cols]
     sw_at_star, sw_at_dagger = value[7:]
 
-    star_geo, dagger_geo = eq.geometric
     # The maximum bounds the welfare of every admissible equilibrium.
     for admissible, welfare, name in ((star_geo, sw_at_star, "P*"), (dagger_geo, sw_at_dagger, "P+")):
         above = admissible & (welfare > sw_max + EQUILIBRIUM_WELFARE_TOL * np.maximum(1.0, np.abs(welfare)))

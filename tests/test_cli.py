@@ -142,7 +142,24 @@ class TestAnalyze:
           "--gamma", "7.824742046755414e+142", "--zeta", "1.4074000600665851e-192",
           "--r_d", "0.05647656212768215", "--r_s", "0.7555856371678873"],
          "NumericalContractError: quadratic discriminant inf is not finite"),
-    ], ids=["infinite-coefficients", "infinite-discriminant"])
+        # (gamma + zeta) n overflows, so the c = d face vertex is inf / inf.
+        (["--d", "0.1", "--x", "0.4", "--w", "0.5", "--n", "1000", "--alpha", "0.05",
+          "--beta", "1e-300", "--gamma", "0.2", "--zeta", "1e306", "--r_d", "0.3", "--r_s", "0.2"],
+         "NumericalContractError: welfare nan at face:c=d is not finite"),
+        # Finite coefficients whose quotients omega_k / omega_4 overflow.
+        (["--d", "0.8604658728152004", "--x", "0.6214875774287129", "--w", "0.6449939110567907",
+          "--n", "9007199254740992", "--alpha", "9.478973150583034e-276",
+          "--beta", "4.5872446655289855e-244", "--gamma", "3.1570461478185253e-204",
+          "--zeta", "4.589801511259801e-72", "--r_d", "0.7672271445785919", "--r_s", "0.5240527310642786"],
+         "NumericalContractError: the companion matrix of the quartic coefficients"),
+        # gamma * n overflows as the row batch is built. Under pytest a
+        # numpy warning there would be an error, not a line before this one.
+        (["--d", "0.1", "--x", "0.4", "--w", "0.5", "--n", "1000", "--alpha", "0.05",
+          "--beta", "0.1", "--gamma", "1e306", "--zeta", "10", "--r_d", "0.3", "--r_s", "0.2"],
+         "NumericalContractError: quartic coefficients (9.999999999999995, -7.999999999999999, 0.0, "
+         "-1.6005999999999999e+308, inf) are not finite\n"),
+    ], ids=["infinite-coefficients", "infinite-discriminant", "nan-face-welfare", "overflowing-companion",
+            "overflowing-influence"])
     def test_non_finite_closed_form_exit_code(self, capsys, argv, message):
         assert main(["analyze"] + argv) == 2
         captured = capsys.readouterr()
@@ -328,6 +345,24 @@ class TestSweep:
         code = main(["sweep", "--config", config_path, "--param", "zeta",
                      "--range", "10-25-7"])
         assert code == 1
+
+
+class TestSubcommandFlags:
+    # Each subcommand registers only the flags it reads.
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--seed", "3"],
+        ["analyze", "--grid-resolution", "0.002"],
+        ["sweep", "--param", "zeta", "--range", "10:25:3", "--seed", "3"],
+        ["sweep", "--param", "zeta", "--range", "10:25:3", "--grid-resolution", "0.002"],
+        ["oracle-check", "--format", "json"],
+    ], ids=lambda argv: f"{argv[0]} {argv[-2]}")
+    def test_unread_flag_is_a_usage_error(self, capsys, config_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv[:1] + ["--config", config_path] + argv[1:])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"error: unrecognized arguments: {' '.join(argv[-2:])}" in captured.err
+        assert captured.out == ""
 
 
 class TestParserReuse:

@@ -9,6 +9,7 @@ from advisorgame import (
     DegenerateDenominator,
     EqualReturns,
     LimitRegime,
+    NumericalContractError,
     OpinionProfile,
     UnsupportedN,
     advisor_best_response,
@@ -60,6 +61,14 @@ class TestQuadraticRoots:
                 scale = max(1.0, 2 * p.alpha * (1 + p.d + p.x + p.x * p.d),
                             p.gamma * p.n / p.zeta)
                 assert abs(res) <= 1e-10 * scale
+
+    def test_residual_contract_catches_a_wrong_root(self, fig1, monkeypatch):
+        # A square root 0.01 too large moves a to 0.305 and b with it, off
+        # the roots 0.3 and 0.2 of the quadratic.
+        sqrt = np.sqrt
+        monkeypatch.setattr(np, "sqrt", lambda x: sqrt(x) + 0.01)
+        with pytest.raises(NumericalContractError, match="^quadratic residual"):
+            solve_quadratic(fig1)
 
     def test_discriminant_monotone_in_dissonance(self, fig1):
         zetas = np.linspace(5.0, 40.0, 50)

@@ -49,9 +49,16 @@ class TestParams:
         weights = dict(alpha=0.05, beta=0.1, gamma=0.2, zeta=10.0)
         weights[field] = float("inf")
         with pytest.raises(InvalidParameter) as exc:
-            HeterogeneousParams(x=0.4, w=0.5, n=1, r_s=0.2, d_i=(0.1,),
+            HeterogeneousParams(x=0.4, w=0.5, r_s=0.2, d_i=(0.1,),
                                 r_d_i=(0.3,), **weights)
         assert exc.value.field == field
+
+    @pytest.mark.parametrize("d_i, r_d_i", [((), ()), ((0.1, 0.2), (0.3,)), ((0.1,), (0.3, 0.3))])
+    def test_heterogeneous_lengths(self, d_i, r_d_i):
+        weights = dict(x=0.4, w=0.5, alpha=0.05, beta=0.1, gamma=0.2, zeta=10.0, r_s=0.2)
+        assert HeterogeneousParams(d_i=(0.1, 0.2), r_d_i=(0.3, 0.3), **weights).n == 2
+        with pytest.raises(InvalidParameter, match=f"^r_d_i: .* got {len(r_d_i)} for {len(d_i)}$"):
+            HeterogeneousParams(d_i=d_i, r_d_i=r_d_i, **weights)
 
     def test_rejects_bad_n(self, fig1):
         with pytest.raises(InvalidParameter):

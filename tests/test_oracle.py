@@ -15,8 +15,11 @@ from advisorgame import (
     InvalidParameter,
     ModelParams,
     OpinionProfile,
+    advisor_best_response,
+    advisor_utilities,
     advisor_utility,
     best_response_dynamics,
+    customer_best_response,
     customer_utility,
     grid_max_welfare,
     lipschitz_bound,
@@ -33,7 +36,7 @@ from conftest import draw_domain_point, draw_params
 
 def _hetero_like(p, n=2):
     return HeterogeneousParams(
-        x=p.x, w=p.w, n=n, alpha=p.alpha, beta=p.beta, gamma=p.gamma,
+        x=p.x, w=p.w, alpha=p.alpha, beta=p.beta, gamma=p.gamma,
         zeta=p.zeta, r_s=p.r_s, d_i=(p.d,) * n, r_d_i=(p.r_d,) * n,
     )
 
@@ -84,7 +87,7 @@ class TestGrid:
 
     def test_truly_heterogeneous_beats_worst_slice(self, fig1):
         het = HeterogeneousParams(
-            x=0.4, w=0.5, n=2, alpha=0.05, beta=0.1, gamma=0.2, zeta=10.0,
+            x=0.4, w=0.5, alpha=0.05, beta=0.1, gamma=0.2, zeta=10.0,
             r_s=0.2, d_i=(0.1, 0.3), r_d_i=(0.3, 0.25),
         )
         point, value = grid_max_welfare(het, GridSpec(1e-2))
@@ -334,14 +337,14 @@ class TestBlockedGrid:
 class TestDynamics:
     def test_fixed_point_recognized_immediately(self, fig1):
         eq = nash_equilibria(fig1)
-        trace = best_response_dynamics(fig1, eq.p_star, tol=1e-9)
+        trace = best_response_dynamics(fig1, eq.p_star)
         assert trace.converged
         assert trace.iterations_used == 1
         assert trace.fixed_point.s == pytest.approx(eq.p_star.s, abs=1e-9)
 
     def test_converges_to_upper_equilibrium(self, fig1):
         start = OpinionProfile.uniform(0.28, 0.35, 1)
-        trace = best_response_dynamics(fig1, start, tol=1e-9)
+        trace = best_response_dynamics(fig1, start)
         assert trace.converged
         assert trace.fixed_point.s == pytest.approx(0.3, abs=1e-7)
         assert trace.fixed_point.c[0] == pytest.approx(0.275, abs=1e-7)
@@ -351,7 +354,7 @@ class TestDynamics:
         p = fig1.replace(zeta=5.0)
         start = OpinionProfile.uniform(0.28, 0.35, 1)
         try:
-            trace = best_response_dynamics(p, start, max_iter=2000, tol=1e-9)
+            trace = best_response_dynamics(p, start, max_iter=2000)
         except DegenerateDenominator:
             return  # the iterates crashed into the s = d singularity
         assert not trace.converged
@@ -368,7 +371,7 @@ class TestDynamics:
             s0 = rng.uniform(p.d + 0.05, 1.0)
             start = OpinionProfile.uniform(rng.uniform(p.d, s0), s0, p.n)
             try:
-                trace = best_response_dynamics(p, start, max_iter=5000, tol=1e-9)
+                trace = best_response_dynamics(p, start, max_iter=5000)
             except DegenerateDenominator:
                 continue
             if not trace.converged:
@@ -383,11 +386,11 @@ class TestDynamics:
 
     def test_heterogeneous_fixed_point(self, fig1):
         het = HeterogeneousParams(
-            x=0.4, w=0.5, n=2, alpha=0.05, beta=0.1, gamma=0.2, zeta=10.0,
+            x=0.4, w=0.5, alpha=0.05, beta=0.1, gamma=0.2, zeta=10.0,
             r_s=0.2, d_i=(0.1, 0.15), r_d_i=(0.3, 0.28),
         )
         start = OpinionProfile(c=(0.3, 0.3), s=0.4)
-        trace = best_response_dynamics(het, start, tol=1e-9)
+        trace = best_response_dynamics(het, start)
         if trace.converged:
             from advisorgame import advisor_best_response, customer_best_response
 
@@ -406,6 +409,16 @@ class TestPerturbation:
         eq = nash_equilibria(fig1)
         assert perturbation_check(fig1, eq.p_star, 1000, seed=0)
         assert perturbation_check(fig1, eq.p_dagger, 1000, seed=0)
+
+    def test_customer_that_can_improve_fails(self, fig1):
+        # The advisor plays its best response to c = 0.12, so only the
+        # customer, whose best response is 0.110, can gain by deviating.
+        c = 0.12
+        q = OpinionProfile.uniform(c, advisor_best_response(fig1, [c]), 1)
+        s_dev = np.linspace(0.0, 1.0, 1001)
+        assert advisor_utilities(fig1, q.c, s_dev).max() <= advisor_utility(fig1, q) + 1e-9
+        assert customer_best_response(fig1.customer(), q.s) == pytest.approx(0.110, abs=1e-3)
+        assert not perturbation_check(fig1, q, 1000)
 
     def test_non_equilibrium_fails(self, fig1):
         assert not perturbation_check(fig1, OpinionProfile.uniform(0.2, 0.5, 1), 1000)
@@ -461,7 +474,7 @@ class TestPerturbationMatchesScalarLoop:
 
     def test_heterogeneous_profiles(self):
         het = HeterogeneousParams(
-            x=0.4, w=0.5, n=2, alpha=0.05, beta=0.1, gamma=0.2, zeta=10.0,
+            x=0.4, w=0.5, alpha=0.05, beta=0.1, gamma=0.2, zeta=10.0,
             r_s=0.2, d_i=(0.1, 0.15), r_d_i=(0.3, 0.28),
         )
         rng = np.random.default_rng(3)

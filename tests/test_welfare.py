@@ -314,6 +314,16 @@ class TestMaximizeWelfare:
         assert PosFlag.NEGATIVE_DENOMINATOR in report.pos_flags
         assert report.pos is None
 
+    def test_zero_denominator_flag(self):
+        # With x = w and no returns, the optimum c = s = x has welfare
+        # exactly 0, so the PoS would divide by zero.
+        p = ModelParams(d=0.0, x=0.5, w=0.5, n=2, alpha=1.0, beta=1.0, gamma=1.0,
+                        zeta=1.0, r_d=0.0, r_s=0.0)
+        report = maximize_welfare(p)
+        assert report.sw_max == 0.0
+        assert report.pos_flags == {PosFlag.ZERO_DENOMINATOR}
+        assert report.pos is None
+
 
 class TestEquilibriumUtilities:
     def test_equal_returns_customer_payoff(self, fig1):
