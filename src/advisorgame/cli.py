@@ -26,7 +26,7 @@ from .oracle import (
     perturbation_check,
 )
 from .params import ModelParams
-from .welfare import LOCATIONS, maximize_welfare, welfare_arrays
+from .welfare import LOCATIONS, PosFlag, maximize_welfare, welfare_arrays
 
 PARAM_KEYS = ("d", "x", "w", "n", "alpha", "beta", "gamma", "zeta", "r_d", "r_s")
 
@@ -126,13 +126,12 @@ def _records(params: list, values: list) -> list:
     errors.raise_first()
 
     eq = report.equilibria
-    disagree = eq.region & (eq.region_verdict != eq.geometric).any(axis=0)
     tokens = (
         (eq.degenerate, "Degenerate"),
-        (disagree, "RegionGeometryDisagreement"),
-        (report.negative, "NegativeDenominator"),
-        (report.no_equilibria, "NoEquilibria"),
-        (report.zero, "ZeroDenominator"),
+        (eq.region & ~eq.agree, "RegionGeometryDisagreement"),
+        (report.negative, PosFlag.NEGATIVE_DENOMINATOR.value),
+        (report.no_equilibria, PosFlag.NO_EQUILIBRIA.value),
+        (report.zero, PosFlag.ZERO_DENOMINATOR.value),
     )
     marks = [[name if on else "" for on in mask.tolist()] for mask, name in tokens]
     flags = [";".join(filter(None, row)) for row in zip(*marks)]
@@ -265,10 +264,9 @@ def run_oracle_check(p: ModelParams, seed: int, resolution: float, stream) -> bo
     report("welfare grid agreement", gap <= slack, f"|gap| = {gap:.3g} <= {slack:.3g}")
 
     eq = analytic.equilibria
-    for name, prof in (("P*", eq.p_star), ("P+", eq.p_dagger)):
-        if prof is None or not prof.in_domain(p.d):
-            continue
-        if prof.s - p.d <= 1e-9:
+    candidates = (("P*", eq.p_star, eq.star_admissible), ("P+", eq.p_dagger, eq.dagger_admissible))
+    for name, prof, admissible in candidates:
+        if not admissible or prof.s - p.d <= 1e-9:
             continue
         report(f"{name} Nash deviation check", perturbation_check(p, prof, 1000, seed=seed))
         trace = best_response_dynamics(p, prof, max_iter=10)

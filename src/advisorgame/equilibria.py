@@ -100,8 +100,9 @@ class EquilibriumArrays(NamedTuple):
     ``present`` whether the profile exists, ``c`` its customer coordinate,
     ``geometric`` the triangle verdict and ``region_verdict`` the
     closed-form one, which is meaningful only where ``region`` (real roots
-    and r_s != r_d). ``thresholds`` holds (r_d_1, r_d_2) of every row, or
-    None when no row has a region verdict.
+    and r_s != r_d). ``agree`` marks the ``region`` rows whose two verdicts
+    match for both equilibria. ``thresholds`` holds (r_d_1, r_d_2) of every
+    row, or None when no row has a region verdict.
     """
 
     disc: np.ndarray
@@ -113,20 +114,12 @@ class EquilibriumArrays(NamedTuple):
     geometric: np.ndarray
     region: np.ndarray
     region_verdict: np.ndarray
+    agree: np.ndarray
     thresholds: Optional[Tuple[np.ndarray, np.ndarray]]
 
     def pair(self, i: int, n: int) -> EquilibriumPair:
         """Row ``i`` as an ``EquilibriumPair`` with ``n`` customers."""
-        a, b = self.roots[:, i].tolist()
-        if not self.real[i]:
-            return EquilibriumPair(
-                p_star=None,
-                p_dagger=None,
-                star_admissible=False,
-                dagger_admissible=False,
-                admissibility_source=AdmissibilitySource.GEOMETRIC,
-                roots=QuadraticRoots(a=None, b=None, discriminant=self.disc[i].item()),
-            )
+        a, b = self.roots[:, i].tolist() if self.real[i] else (None, None)
         c_star, c_dagger = self.c[:, i].tolist()
         has_star, has_dagger = self.present[:, i].tolist()
         star_geo, dagger_geo = self.geometric[:, i].tolist()
@@ -136,12 +129,8 @@ class EquilibriumArrays(NamedTuple):
             p_dagger = p_star
         else:
             p_dagger = OpinionProfile.uniform(c_dagger, b, n) if has_dagger else None
-        star_region = dagger_region = None
-        source = AdmissibilitySource.GEOMETRIC
-        if self.region[i]:
-            star_region, dagger_region = self.region_verdict[:, i].tolist()
-            if star_region == star_geo and dagger_region == dagger_geo:
-                source = AdmissibilitySource.BOTH
+        star_region, dagger_region = self.region_verdict[:, i].tolist() if self.region[i] else (None, None)
+        source = AdmissibilitySource.BOTH if self.agree[i] else AdmissibilitySource.GEOMETRIC
         return EquilibriumPair(
             p_star=p_star,
             p_dagger=p_dagger,
@@ -285,22 +274,30 @@ def _region_verdicts(P: ParamBatch, r_d_1, r_d_2):
 def equilibrium_arrays(P: ParamBatch, errors: RowErrors) -> EquilibriumArrays:
     """P* and P+ of every row, with their geometric and region verdicts.
 
-    Stages that no row of the batch needs are skipped.
+    A row fails with NumericalContractError when the customer coordinate
+    of a present equilibrium is not finite. Stages that no row of the
+    batch needs are skipped.
     """
     disc, real, roots = quadratic_arrays(P, errors)
     region = real & ~P.equal if P.any_equal else real
     present, geometric, region_verdict = np.zeros((3, 2, len(P)), dtype=bool)
+    agree = np.zeros(len(P), dtype=bool)
     c, thresholds = roots, None
     real_rows = np.count_nonzero(real)
     if real_rows:
         present, c = _customer_at(P, roots)
         if real_rows < len(P):
             present &= real
+        broken = present & ~np.isfinite(c)
+        errors.add(broken.any(axis=0), lambda i: NumericalContractError(
+            f"customer coordinate {c[0 if broken[0, i] else 1, i].item()!r} of "
+            f"{'P*' if broken[0, i] else 'P+'} is not finite"))
         geometric = present & (c >= P.d) & (c <= roots) & (roots <= 1.0)
     if np.count_nonzero(region):
         thresholds = threshold_arrays(P)
         check_thresholds(*thresholds, region, errors)
         region_verdict = _region_verdicts(P, *thresholds)
+        agree = region & (region_verdict == geometric).all(axis=0)
     return EquilibriumArrays(
         disc=disc,
         real=real,
@@ -311,6 +308,7 @@ def equilibrium_arrays(P: ParamBatch, errors: RowErrors) -> EquilibriumArrays:
         geometric=geometric,
         region=region,
         region_verdict=region_verdict,
+        agree=agree,
         thresholds=thresholds,
     )
 

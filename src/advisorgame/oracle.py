@@ -190,11 +190,8 @@ def _grid_homogeneous(p: ModelParams, res: float):
     row_ends = np.searchsorted(axis, axis[np.array(ends) - 1] + 1e-15, side="right")
     order = range(len(starts))
     if slack is not None:
-        tops, lows = [], []
-        for j0, j1, rows in zip(starts, ends, row_ends):
-            bound = _row_bounds(p, s_term, c_term, c_gap, s_gap, axis, j0, j1, rows, slack)
-            tops.append(bound.max())
-            lows.append(bound.min())
+        tops = [_row_bounds(p, s_term, c_term, c_gap, s_gap, axis, j0, j1, rows, slack).max()
+                for j0, j1, rows in zip(starts, ends, row_ends)]
         order = np.argsort(np.negative(tops), kind="stable")
 
     best_val = np.full(len(starts), -np.inf)
@@ -207,12 +204,9 @@ def _grid_homogeneous(p: ModelParams, res: float):
         if slack is not None:
             if tops[b] < incumbent:
                 break  # so are the bounds of every block after it
-            # When even the lowest row bound reaches the incumbent, the
-            # whole block is kept without recomputing its bounds.
-            if lows[b] < incumbent:
-                bound = _row_bounds(p, s_term, c_term, c_gap, s_gap, axis, j0, j1, rows, slack)
-                keep = np.flatnonzero(bound >= incumbent)
-                lo, rows = int(keep[0]), int(keep[-1]) + 1
+            bound = _row_bounds(p, s_term, c_term, c_gap, s_gap, axis, j0, j1, rows, slack)
+            keep = np.flatnonzero(bound >= incumbent)
+            lo, rows = int(keep[0]), int(keep[-1]) + 1
         s = axis[j0:j1]
         # Rows below ``near`` lie more than 1e-14 below every s of the
         # block, so neither the c = s test nor the mask can hold there.

@@ -152,20 +152,14 @@ class OpinionProfile:
         """All-customers-equal profile."""
         return cls(c=(float(c),) * n, s=s)
 
-    @property
-    def n(self) -> int:
-        return len(self.c)
-
     def c_array(self) -> np.ndarray:
         return np.asarray(self.c, dtype=float)
 
-    def in_domain(self, d, tol: float = 0.0) -> bool:
+    def in_domain(self, d) -> bool:
         """Membership in {d_i <= c_i <= s <= 1}.
 
         ``d`` is a scalar baseline or one baseline per customer.
         """
         lo = np.broadcast_to(np.asarray(d, dtype=float), (len(self.c),))
         c = self.c_array()
-        return bool(
-            np.all(c >= lo - tol) and np.all(c <= self.s + tol) and self.s <= 1.0 + tol
-        )
+        return bool(np.all(c >= lo) and np.all(c <= self.s) and self.s <= 1.0)

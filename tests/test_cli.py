@@ -14,7 +14,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from advisorgame import AdvisorGameError, InvalidParameter, ModelParams
+from advisorgame import AdmissibilitySource, AdvisorGameError, InvalidParameter, ModelParams, nash_equilibria
+from advisorgame import cli
 from advisorgame.cli import (
     COLUMNS,
     ConfigError,
@@ -48,6 +49,17 @@ OVERFLOWING_INVARIANTS_ARGV = [
     "--gamma", "7.304077022015147e+30", "--zeta", "50134874757.81474",
     "--r_d", "0.8976226523941698", "--r_s", "0.444446689866281"]
 
+# Points where zeta |s - d| underflows and a customer coordinate leaves
+# the doubles.
+INFINITE_CUSTOMER_ARGV = [
+    "--d", "1.0", "--x", "0.0", "--w", "0.0", "--n", "1000", "--alpha", "1e13", "--beta", "1.0",
+    "--gamma", "1e-299", "--zeta", "1e-298", "--r_d", "1.0", "--r_s", "0.0"]
+INFINITE_CUSTOMER_PAIR_ARGV = [
+    "--d", "0.8707149526916379", "--x", "0.9110575305699193", "--w", "0.0", "--n", "631012",
+    "--alpha", "4.0233686262222805e+133", "--beta", "1.949248335e-314",
+    "--gamma", "3.588175018508565e-201", "--zeta", "1.14104e-319",
+    "--r_d", "0.0", "--r_s", "0.6940411277241348"]
+
 FIG1_VALUES = dict(d=0.1, x=0.4, w=0.5, n=1, alpha=0.05, beta=0.1,
                    gamma=0.2, zeta=10.0, r_d=0.3, r_s=0.2)
 
@@ -75,6 +87,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"bad\.cfg:1.*alpha"):
             parse_config(str(path))
 
+    def test_line_without_equals_diagnostic(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("alpha = 0.05\nbeta 0.1\n")
+        with pytest.raises(ConfigError, match=r"bad\.cfg:2: expected 'key = value', got 'beta 0\.1'"):
+            parse_config(str(path))
+
     def test_missing_field_diagnostic(self):
         with pytest.raises(ConfigError, match="zeta"):
             build_params({k: v for k, v in FIG1_VALUES.items() if k != "zeta"})
@@ -97,6 +115,23 @@ class TestAnalyze:
         assert record["discriminant"] == pytest.approx(-0.07, rel=1e-12)
         assert record["a"] is None and record["c_star"] is None
         assert "NoEquilibria" in record["flags"]
+
+    def test_region_geometry_disagreement_flag(self):
+        # r_s lies one ulp above r_d - r_d_2, the upper edge of the P+
+        # window: the closed form rejects P+, the triangle test keeps it.
+        values = dict(d=0.1331298322064609, x=0.819626719119277, w=0.6832869060032571, n=3,
+                      alpha=1.18629823188593, beta=0.07642448450779726, gamma=1.2727066761628194,
+                      zeta=1.0141875658207862, r_d=0.08155261736351271, r_s=0.027836330096622914)
+        p = build_params(values)
+        eq = nash_equilibria(p)
+        assert (eq.star_region, eq.dagger_region) == (True, False)
+        assert eq.star_admissible and eq.dagger_admissible
+        assert eq.admissibility_source is AdmissibilitySource.GEOMETRIC
+        assert run_single(p)["flags"] == "RegionGeometryDisagreement"
+        # Where the verdicts agree, neither reports a disagreement.
+        fig1 = build_params(FIG1_VALUES)
+        assert nash_equilibria(fig1).admissibility_source is AdmissibilitySource.BOTH
+        assert run_single(fig1)["flags"] == ""
 
     def test_invalid_field_exit_code(self, capsys, config_path):
         code = main(["analyze", "--config", config_path, "--gamma", "-1"])
@@ -158,8 +193,15 @@ class TestAnalyze:
           "--beta", "0.1", "--gamma", "1e306", "--zeta", "10", "--r_d", "0.3", "--r_s", "0.2"],
          "NumericalContractError: quartic coefficients (9.999999999999995, -7.999999999999999, 0.0, "
          "-1.6005999999999999e+308, inf) are not finite\n"),
+        # zeta (s - d) underflows, so the P* customer coordinate is inf.
+        (INFINITE_CUSTOMER_ARGV,
+         "NumericalContractError: customer coordinate inf of P* is not finite\n"),
+        # The same with c_star = inf and c_dagger = -inf, in JSON, where
+        # either would print as null.
+        (INFINITE_CUSTOMER_PAIR_ARGV + ["--format", "json"],
+         "NumericalContractError: customer coordinate inf of P* is not finite\n"),
     ], ids=["infinite-coefficients", "infinite-discriminant", "nan-face-welfare", "overflowing-companion",
-            "overflowing-influence"])
+            "overflowing-influence", "infinite-customer", "infinite-customer-pair"])
     def test_non_finite_closed_form_exit_code(self, capsys, argv, message):
         assert main(["analyze"] + argv) == 2
         captured = capsys.readouterr()
@@ -414,6 +456,43 @@ class TestOracleCheck:
         assert "[PASS] welfare grid agreement" in out
         assert "[FAIL]" not in out
 
+    def test_inadmissible_equilibrium_is_not_checked(self, capsys, config_path):
+        # Past zeta_bar, P+ has c < d: present, but outside the triangle.
+        code = main(["oracle-check", "--config", config_path, "--zeta", "20",
+                     "--grid-resolution", "0.002", "--seed", "3"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "[PASS] P* Nash deviation check" in out
+        assert "P+" not in out
+
+    def test_equilibrium_on_the_baseline_is_skipped(self, capsys, config_path):
+        # With x = d and r_s = r_d both equilibria are admissible at s = d,
+        # where the best-response dynamics cannot start.
+        code = main(["oracle-check", "--config", config_path, "--x", "0.1", "--r_s", "0.3",
+                     "--grid-resolution", "0.002"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("[PASS] welfare grid agreement")
+        assert out.count("\n") == 1
+
+    def test_out_path_is_written_and_closed(self, capsys, monkeypatch, tmp_path, config_path):
+        opened = []
+
+        def spy(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(cli, "open", spy, raising=False)
+        path = tmp_path / "oracle.txt"
+        code = main(["oracle-check", "--config", config_path, "--grid-resolution", "0.002",
+                     "--out", str(path)])
+        assert code == 0
+        assert capsys.readouterr().out == ""
+        assert opened and all(fh.closed for fh in opened)
+        text = path.read_text()
+        assert text.startswith("[PASS] welfare grid agreement")
+        assert "[PASS] P+ is a best-response fixed point" in text
+
     def test_grid_over_budget_exit_code(self, capsys, config_path):
         # The finest resolution on the full [0, 1] axis exceeds the point
         # budget; the check fails before the 2-D grid is allocated.
@@ -425,9 +504,10 @@ class TestOracleCheck:
         assert captured.out == ""
 
 
-# Weights over the whole decade range of positive doubles: every closed
-# form that leaves the doubles must end in a library error.
-_WEIGHT = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+# Weights over the whole decade range of positive doubles, subnormals
+# included (10.0**308.3 overflows in Python): every closed form that
+# leaves the doubles must end in a library error.
+_WEIGHT = st.floats(-323.0, 308.0).map(lambda e: 10.0**e)
 _UNIT = st.floats(0.0, 1.0)
 
 
@@ -439,7 +519,7 @@ def _edge_params(draw):
         d=d,
         x=draw(st.one_of(st.just(d), _UNIT)),
         w=draw(_UNIT),
-        n=draw(st.one_of(st.just(1), st.just(1000), st.integers(1, 1000))),
+        n=draw(st.one_of(st.just(1), st.just(1000), st.just(2**53), st.integers(1, 2**53))),
         alpha=draw(_WEIGHT),
         beta=draw(_WEIGHT),
         gamma=draw(_WEIGHT),
@@ -449,11 +529,18 @@ def _edge_params(draw):
     )
 
 
+def _params_of(argv):
+    """The ModelParams of a ``--key value`` argument list."""
+    return build_params({key[2:]: float(value) for key, value in zip(argv[::2], argv[1::2])})
+
+
 class TestRobustness:
     @settings(max_examples=300, deadline=None)
     @given(_edge_params())
     @example(ModelParams(**dict(FIG1_VALUES, d=8.38991333608418e-184, x=0.0)))
     @example(ModelParams(**dict(FIG1_VALUES, d=1e-160, x=0.0)))
+    @example(_params_of(INFINITE_CUSTOMER_ARGV))
+    @example(_params_of(INFINITE_CUSTOMER_PAIR_ARGV))
     def test_run_single_is_finite_or_raises_a_library_error(self, p):
         try:
             record = run_single(p)

@@ -9,6 +9,7 @@ from advisorgame import (
     DegenerateDenominator,
     EqualReturns,
     LimitRegime,
+    ModelParams,
     NumericalContractError,
     OpinionProfile,
     UnsupportedN,
@@ -43,6 +44,14 @@ class TestQuadraticRoots:
         roots = solve_quadratic(fig1.replace(gamma=0.3))
         assert roots.discriminant == pytest.approx(-0.03, rel=1e-12)
         assert roots.discriminant < 0.0
+
+    def test_vanishing_upper_root_keeps_the_lower_root(self):
+        # At d = x = 0 the discriminant underflows to 0, so a = 0 and the
+        # product of the roots, 0 / 0, cannot give b.
+        p = ModelParams(d=0.0, x=0.0, w=0.5, n=1, alpha=1e300, beta=0.1, gamma=1e-300, zeta=1.0,
+                        r_d=0.3, r_s=0.4)
+        roots = solve_quadratic(p)
+        assert (roots.a, roots.b, roots.discriminant) == (0.0, 0.0, 0.0)
 
     def test_residuals_on_random_draws(self, fig1):
         rng = np.random.default_rng(3)
@@ -220,6 +229,8 @@ class TestLimits:
             limit_equilibria(fig1.replace(n=2), LimitRegime.ZETA_INF)
         with pytest.raises(DegenerateDenominator):
             limit_equilibria(fig1.replace(d=0.4), LimitRegime.GAMMA_ZERO)
+        with pytest.raises(ValueError, match="unknown limit regime 'zeta_inf'"):
+            limit_equilibria(fig1, "zeta_inf")
 
 
 class TestCriticalZeta:

@@ -76,9 +76,6 @@ class TestParams:
         # Membership never clamps: the offending coordinate is preserved.
         assert OpinionProfile(c=(0.05,), s=0.5).c == (0.05,)
 
-    def test_membership_tolerance(self):
-        assert OpinionProfile(c=(0.1 - 1e-12,), s=0.5).in_domain(0.1, tol=1e-9)
-
 
 class TestAdvisorUtility:
     def test_zero_when_all_penalties_vanish(self):
@@ -231,6 +228,17 @@ class TestSocialWelfare:
     def test_singularity_raises(self, fig1):
         with pytest.raises(DegenerateDenominator):
             social_welfare(fig1, OpinionProfile.uniform(0.1, fig1.d, 1))
+
+    def test_gradient_at_equal_returns_is_defined_on_s_equal_d(self, fig1):
+        # With r_s == r_d the interpolation terms vanish, also at s = d.
+        p = fig1.replace(r_s=fig1.r_d)
+        grad = social_welfare_gradient(p, OpinionProfile.uniform(p.d, p.d, 1))
+        assert grad.tolist() == pytest.approx([2.0 * p.beta * (p.w - p.d), -2.0 * p.alpha * (p.d - p.x)],
+                                              rel=1e-15)
+
+    def test_gradient_singularity_raises(self, fig1):
+        with pytest.raises(DegenerateDenominator, match="within"):
+            social_welfare_gradient(fig1, OpinionProfile.uniform(0.1, fig1.d, 1))
 
     def test_gradient_matches_finite_differences(self, fig1):
         rng = np.random.default_rng(13)

@@ -56,6 +56,19 @@ class TestGrid:
         with pytest.raises(GridTooLarge):
             grid_max_welfare(_hetero_like(fig1, n=4), GridSpec(1e-2))
 
+    def test_heterogeneous_budget_guard(self, fig1):
+        # 10001 s values times 10001 c values exceed the point budget.
+        with pytest.raises(GridTooLarge, match="budget"):
+            grid_max_welfare(_hetero_like(fig1.replace(d=0.0), n=1), GridSpec(1e-4))
+
+    def test_heterogeneous_lipschitz_bound_takes_the_largest_return_gap(self, fig1):
+        het = HeterogeneousParams(
+            x=0.4, w=0.5, alpha=0.05, beta=0.1, gamma=0.2, zeta=10.0,
+            r_s=0.2, d_i=(0.1, 0.15), r_d_i=(0.3, 0.28),
+        )
+        # |r_s - r_d_i| is largest at r_d_i = 0.3, fig1's r_d.
+        assert lipschitz_bound(het) == lipschitz_bound(fig1.replace(n=2))
+
     def test_known_optimum(self, fig1):
         p = fig1.replace(r_s=0.3, w=0.4)  # all penalties vanish at c = s = x
         point, value = grid_max_welfare(p, GridSpec(1e-3))
@@ -402,6 +415,12 @@ class TestDynamics:
     def test_singular_start_rejected(self, fig1):
         with pytest.raises(DegenerateDenominator):
             best_response_dynamics(fig1, OpinionProfile.uniform(0.1, fig1.d, 1))
+
+    def test_singular_iterate_rejected(self, fig1):
+        # With x = d and the customers at d, the advisor's best response is s = d.
+        p = fig1.replace(x=fig1.d)
+        with pytest.raises(DegenerateDenominator, match="iterate drove s"):
+            best_response_dynamics(p, OpinionProfile.uniform(p.d, 0.5, 1))
 
 
 class TestPerturbation:

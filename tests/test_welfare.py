@@ -6,6 +6,7 @@ import pytest
 
 from advisorgame import (
     EPS_DEN,
+    DegenerateDenominator,
     GridSpec,
     MissingEquilibrium,
     ModelParams,
@@ -220,7 +221,16 @@ class TestMaximizeWelfare:
         report = maximize_welfare(fig1)
         _, grid_val = grid_max_welfare(fig1, GridSpec(1e-3))
         assert abs(report.sw_max - grid_val) <= 1e-4
-        assert report.argmax.in_domain(fig1.d, tol=1e-9)
+        c, s = report.argmax.c[0], report.argmax.s
+        assert fig1.d - 1e-9 <= c <= s + 1e-9 and s <= 1.0 + 1e-9
+
+    def test_interior_candidate_on_the_singularity_raises(self):
+        # The quartic's small real root y = 1.00001e-12 passes the EPS_DEN
+        # test, but d + y rounds to a stated opinion within EPS_DEN of d.
+        p = ModelParams(d=0.5, x=0.6, w=0.5, n=1, alpha=249992500.14999747, beta=1e20,
+                        gamma=1.0, zeta=1.0, r_d=0.0, r_s=1e-4)
+        with pytest.raises(DegenerateDenominator, match=r"^s = 0\.500000000001 is within 1e-12 of d = 0\.5$"):
+            maximize_welfare(p)
 
     def test_no_penalty_configuration(self, fig1):
         p = fig1.replace(r_s=0.3, w=0.4)  # r_s = r_d, w = x, d < x
