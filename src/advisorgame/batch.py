@@ -67,15 +67,13 @@ class RowErrors:
     def __init__(self):
         self.first: Dict[int, AdvisorGameError] = {}
 
-    def add(self, mask, make: Callable[[int], AdvisorGameError], rows=None) -> None:
-        """Record ``make(i)`` for every row i in ``mask`` that has no error
-        yet; ``rows`` maps the mask's positions to the batch's rows."""
+    def add(self, mask, make: Callable[[int], AdvisorGameError]) -> None:
+        """Record ``make(i)`` for every row i in ``mask`` that has no error yet."""
         if not np.count_nonzero(mask):
             return
         for i in np.flatnonzero(mask).tolist():
-            row = i if rows is None else int(rows[i])
-            if row not in self.first:
-                self.first[row] = make(i)
+            if i not in self.first:
+                self.first[i] = make(i)
 
     def merge(self, other: "RowErrors", rows) -> None:
         """Take over the errors of a batch made of ``rows`` of this one."""

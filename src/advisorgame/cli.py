@@ -8,6 +8,7 @@ the CLI flag of the same name, and flags win over the file.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -56,6 +57,15 @@ class ConfigError(AdvisorGameError):
     pass
 
 
+def number(text: str):
+    """The value of ``n`` as written: an integer literal as an exact int,
+    anything else as a float, whose integrality ``build_params`` checks."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
 def parse_config(path: str) -> dict:
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -70,7 +80,7 @@ def parse_config(path: str) -> dict:
             if key not in PARAM_KEYS:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             try:
-                values[key] = int(val) if key == "n" else float(val)
+                values[key] = number(val) if key == "n" else float(val)
             except ValueError:
                 raise ConfigError(f"{path}:{lineno}: field {key!r}: not a number: {val!r}")
     return values
@@ -84,11 +94,11 @@ def _require(values: dict, keys) -> None:
 
 def build_params(values: dict) -> ModelParams:
     _require(values, PARAM_KEYS)
-    if not float(values["n"]).is_integer():
-        raise InvalidParameter("n", f"must be an integer, got {values['n']!r}")
-    kwargs = dict(values)
-    kwargs["n"] = int(values["n"])
-    return ModelParams(**kwargs)
+    n = values["n"]
+    # An int is checked as it is: float() would round it, or overflow.
+    if not (isinstance(n, int) or float(n).is_integer()):
+        raise InvalidParameter("n", f"must be an integer, got {n!r}")
+    return ModelParams(**dict(values, n=int(n)))
 
 
 def fmt(value) -> str:
@@ -126,16 +136,10 @@ def _records(params: list, values: list) -> list:
     errors.raise_first()
 
     eq = report.equilibria
-    tokens = (
-        (eq.degenerate, "Degenerate"),
-        (eq.region & ~eq.agree, "RegionGeometryDisagreement"),
-        (report.negative, PosFlag.NEGATIVE_DENOMINATOR.value),
-        (report.no_equilibria, PosFlag.NO_EQUILIBRIA.value),
-        (report.zero, PosFlag.ZERO_DENOMINATOR.value),
-    )
+    tokens = [(eq.degenerate, "Degenerate"), (eq.region & ~eq.agree, "RegionGeometryDisagreement")]
+    tokens += [(mask, flag.value) for mask, flag in zip(report.flags, PosFlag)]
     marks = [[name if on else "" for on in mask.tolist()] for mask, name in tokens]
     flags = [";".join(filter(None, row)) for row in zip(*marks)]
-    unflagged = ~(report.no_equilibria | report.negative | report.zero)
     columns = zip(
         values,
         eq.disc.tolist(),
@@ -150,7 +154,7 @@ def _records(params: list, values: list) -> list:
         _optional(zeta_bar, single),
         report.sw_max.tolist(),
         [LOCATIONS[k] for k in report.location.tolist()],
-        _optional(report.pos, unflagged),
+        _optional(report.pos, ~report.flags.any(axis=0)),
         flags,
     )
     return [dict(zip(COLUMNS, row)) for row in columns]
@@ -236,16 +240,10 @@ def emit_json(rows, stream) -> None:
         stream.write(json.dumps(obj) + "\n")
 
 
-def _emit(rows, fmt_name, out_path) -> None:
-    stream = open(out_path, "w", encoding="utf-8") if out_path else sys.stdout
-    try:
-        if fmt_name == "json":
-            emit_json(rows, stream)
-        else:
-            emit_csv(rows, stream)
-    finally:
-        if out_path:
-            stream.close()
+def _output(path):
+    """The ``--out`` file opened for writing, or stdout (left open) when
+    no path is given; use it in a ``with``."""
+    return open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout)
 
 
 def run_oracle_check(p: ModelParams, seed: int, resolution: float, stream) -> bool:
@@ -284,7 +282,7 @@ def make_parser() -> argparse.ArgumentParser:
     for sp in (analyze, sweep, oracle):
         sp.add_argument("--config", help="flat key = value parameter file")
         for key in PARAM_KEYS:
-            sp.add_argument(f"--{key}", type=float, default=None, help=f"override {key}")
+            sp.add_argument(f"--{key}", type=number if key == "n" else float, default=None, help=f"override {key}")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
     # Each subcommand takes only the flags it reads.
     for sp in (analyze, sweep):
@@ -313,26 +311,22 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         values = _collect_values(args)
+        if args.command == "oracle-check":
+            p = build_params(values)
+            with _output(args.out) as stream:
+                ok = run_oracle_check(p, args.seed, args.grid_resolution, stream)
+            return 0 if ok else 2
         if args.command == "analyze":
             rows = [run_single(build_params(values))]
-            _emit(rows, args.format, args.out)
-        elif args.command == "sweep":
+        else:
             try:
                 lo, hi, steps = args.sweep_range.split(":")
                 lo, hi, steps = float(lo), float(hi), int(steps)
             except ValueError:
                 raise ConfigError(f"--range must be lo:hi:steps, got {args.sweep_range!r}")
             rows = run_sweep(values, args.param, lo, hi, steps)
-            _emit(rows, args.format, args.out)
-        elif args.command == "oracle-check":
-            p = build_params(values)
-            stream = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-            try:
-                ok = run_oracle_check(p, args.seed, args.grid_resolution, stream)
-            finally:
-                if args.out:
-                    stream.close()
-            return 0 if ok else 2
+        with _output(args.out) as stream:
+            (emit_json if args.format == "json" else emit_csv)(rows, stream)
     except (ConfigError, InvalidParameter, GridTooLarge, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -124,11 +124,7 @@ class EquilibriumArrays(NamedTuple):
         has_star, has_dagger = self.present[:, i].tolist()
         star_geo, dagger_geo = self.geometric[:, i].tolist()
         p_star = OpinionProfile.uniform(c_star, a, n) if has_star else None
-        degenerate = bool(self.degenerate[i])
-        if degenerate:
-            p_dagger = p_star
-        else:
-            p_dagger = OpinionProfile.uniform(c_dagger, b, n) if has_dagger else None
+        p_dagger = OpinionProfile.uniform(c_dagger, b, n) if has_dagger else None
         star_region, dagger_region = self.region_verdict[:, i].tolist() if self.region[i] else (None, None)
         source = AdmissibilitySource.BOTH if self.agree[i] else AdmissibilitySource.GEOMETRIC
         return EquilibriumPair(
@@ -138,7 +134,7 @@ class EquilibriumArrays(NamedTuple):
             dagger_admissible=dagger_geo,
             admissibility_source=source,
             roots=QuadraticRoots(a=a, b=b, discriminant=self.disc[i].item()),
-            degenerate=degenerate,
+            degenerate=bool(self.degenerate[i]),
             star_region=star_region,
             dagger_region=dagger_region,
         )
@@ -386,7 +382,10 @@ def critical_zeta_arrays(P: ParamBatch, errors: RowErrors):
     Where zeta_bar > 0 and d < x, the equilibria are solved again at
     zeta_bar, and one customer coordinate must sit on c = d there: the
     lower branch when alpha <= gamma, the upper branch otherwise (the
-    face-hitting root switches with the sign of alpha - gamma).
+    face-hitting root switches with the sign of alpha - gamma). That root
+    is d + (x - d) alpha / (alpha + gamma), which can lie within EPS_DEN
+    of d, where its equilibrium is absent; so both real roots are
+    measured, present or not.
     """
     gap_sq, ratio_sq = np.square(np.array([P.x - P.d, (P.alpha + P.gamma) / P.alpha]))
     errors.add(gap_sq == 0.0, lambda i: DegenerateDenominator(
@@ -401,21 +400,16 @@ def critical_zeta_arrays(P: ParamBatch, errors: RowErrors):
         Q = P.take(rows).replace(zeta=zeta_bar[rows])
         at_bar_errors = RowErrors()
         at_bar = equilibrium_arrays(Q, at_bar_errors)
-        errors.merge(at_bar_errors, rows)
         # alpha = gamma makes the discriminant at zeta_bar exactly zero;
         # rounding can push it barely negative. Use the double root.
-        has_star, has_dagger = at_bar.present
-        neither = ~has_star & ~has_dagger
-        has_mid, c_mid = _customer_at(Q, 0.5 * (Q.d + Q.x))
-        has_mid &= neither & (at_bar.disc > -CRITICAL_ZETA_TOL)
-        vanished = neither & ~has_mid
-        errors.add(vanished, lambda i: NumericalContractError(
-            "both equilibria vanished at the critical dissonance value"), rows)
-        miss_star, miss_dagger = np.abs(at_bar.c - Q.d)
-        miss = np.where(has_star, miss_star, np.where(has_dagger, miss_dagger, np.abs(c_mid - Q.d)))
-        miss = np.where(has_star & has_dagger, where_min(miss_star, miss_dagger), miss)
-        errors.add(~vanished & (miss > CRITICAL_ZETA_TOL), lambda i: NumericalContractError(
-            f"no customer coordinate is on c = d at zeta_bar (miss {miss[i].item()!r})"), rows)
+        double = ~at_bar.real & (at_bar.disc > -CRITICAL_ZETA_TOL)
+        at_bar_errors.add(~at_bar.real & ~double, lambda i: NumericalContractError(
+            "both equilibria vanished at the critical dissonance value"))
+        c = np.where(double, _customer_at(Q, 0.5 * (Q.d + Q.x))[1], at_bar.c)
+        miss = np.fmin(*np.abs(c - Q.d))
+        at_bar_errors.add(~(miss <= CRITICAL_ZETA_TOL), lambda i: NumericalContractError(
+            f"no customer coordinate is on c = d at zeta_bar (miss {miss[i].item()!r})"))
+        errors.merge(at_bar_errors, rows)
     return zeta_bar, last, positive
 
 

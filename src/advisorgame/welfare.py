@@ -58,9 +58,13 @@ LOCATIONS = ("interior", "face:c=d", "face:s=1", "face:c=s")
 
 
 class PosFlag(enum.Enum):
+    """Why a row has no PoS. The members are in the order of their tokens
+    in the CLI ``flags`` column, which is the order of the rows of
+    ``WelfareArrays.flags``."""
+
     NEGATIVE_DENOMINATOR = "NegativeDenominator"
-    ZERO_DENOMINATOR = "ZeroDenominator"
     NO_EQUILIBRIA = "NoEquilibria"
+    ZERO_DENOMINATOR = "ZeroDenominator"
 
 
 @dataclass(frozen=True)
@@ -322,8 +326,9 @@ class WelfareArrays(NamedTuple):
     """The welfare optimum and PoS bookkeeping of every row of a batch.
 
     ``location`` indexes ``LOCATIONS``; ``sw_at_star``/``sw_at_dagger``
-    are meaningful where that equilibrium is admissible, and ``pos`` where
-    no flag is set.
+    are meaningful where that equilibrium is admissible. ``flags`` holds
+    one row per ``PosFlag`` member, in member order, and ``pos`` is
+    meaningful where no flag is set.
     """
 
     sw_max: np.ndarray
@@ -333,20 +338,12 @@ class WelfareArrays(NamedTuple):
     sw_at_star: np.ndarray
     sw_at_dagger: np.ndarray
     pos: np.ndarray
-    no_equilibria: np.ndarray
-    negative: np.ndarray
-    zero: np.ndarray
+    flags: np.ndarray
     equilibria: EquilibriumArrays
 
     def report(self, i: int, n: int) -> WelfareReport:
         eq = self.equilibria.pair(i, n)
-        flags = set()
-        if self.no_equilibria[i]:
-            flags.add(PosFlag.NO_EQUILIBRIA)
-        if self.negative[i]:
-            flags.add(PosFlag.NEGATIVE_DENOMINATOR)
-        elif self.zero[i]:
-            flags.add(PosFlag.ZERO_DENOMINATOR)
+        flags = frozenset(flag for flag, on in zip(PosFlag, self.flags[:, i].tolist()) if on)
         return WelfareReport(
             sw_max=self.sw_max[i].item(),
             argmax=OpinionProfile.uniform(self.arg_c[i], self.arg_s[i], n),
@@ -354,7 +351,7 @@ class WelfareArrays(NamedTuple):
             sw_at_star=self.sw_at_star[i].item() if eq.star_admissible else None,
             sw_at_dagger=self.sw_at_dagger[i].item() if eq.dagger_admissible else None,
             pos=None if flags else self.pos[i].item(),
-            pos_flags=frozenset(flags),
+            pos_flags=flags,
             equilibria=eq,
         )
 
@@ -432,11 +429,10 @@ def welfare_arrays(P: ParamBatch, errors: RowErrors) -> WelfareArrays:
         above = admissible & (welfare > sw_max + EQUILIBRIUM_WELFARE_TOL * np.maximum(1.0, np.abs(welfare)))
         errors.add(above, lambda i, welfare=welfare, name=name: NumericalContractError(
             f"welfare {welfare[i].item()!r} at {name} exceeds the maximum {sw_max[i].item()!r}"))
-    no_equilibria = ~star_geo & ~dagger_geo
     negative = sw_max < 0.0
-    zero = ~negative & (np.abs(sw_max) <= POS_TIE_TOL)
+    flags = np.array([negative, ~star_geo & ~dagger_geo, ~negative & (np.abs(sw_max) <= POS_TIE_TOL)])
     best = np.where(star_geo, np.where(dagger_geo, where_max(sw_at_star, sw_at_dagger), sw_at_star), sw_at_dagger)
-    pos = np.where(no_equilibria | negative | zero, np.nan, best / sw_max)
+    pos = np.where(flags.any(axis=0), np.nan, best / sw_max)
     return WelfareArrays(
         sw_max=sw_max,
         location=np.maximum(winner - 3, 0),
@@ -445,9 +441,7 @@ def welfare_arrays(P: ParamBatch, errors: RowErrors) -> WelfareArrays:
         sw_at_star=sw_at_star,
         sw_at_dagger=sw_at_dagger,
         pos=pos,
-        no_equilibria=no_equilibria,
-        negative=negative,
-        zero=zero,
+        flags=flags,
         equilibria=eq,
     )
 

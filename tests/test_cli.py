@@ -14,7 +14,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from advisorgame import AdmissibilitySource, AdvisorGameError, InvalidParameter, ModelParams, nash_equilibria
+from advisorgame import (
+    AdmissibilitySource,
+    AdvisorGameError,
+    InvalidParameter,
+    ModelParams,
+    PosFlag,
+    maximize_welfare,
+    nash_equilibria,
+)
 from advisorgame import cli
 from advisorgame.cli import (
     COLUMNS,
@@ -93,6 +101,19 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"bad\.cfg:2: expected 'key = value', got 'beta 0\.1'"):
             parse_config(str(path))
 
+    def test_integral_float_n_in_a_file(self, capsys, tmp_path, config_path):
+        # A flag and a file both read a non-integer literal as a float.
+        assert main(["analyze", "--config", config_path, "--n", "1000"]) == 0
+        expected = capsys.readouterr().out
+        for text in ("1000.0", "1e3"):
+            path = tmp_path / "n.cfg"
+            path.write_text(FIG1_CONFIG.replace("n = 1", f"n = {text}"))
+            assert main(["analyze", "--config", str(path)]) == 0
+            assert capsys.readouterr().out == expected
+        with pytest.raises(SystemExit):
+            main(["analyze", "--config", config_path, "--n", "abc"])
+        assert "invalid number value: 'abc'" in capsys.readouterr().err
+
     def test_missing_field_diagnostic(self):
         with pytest.raises(ConfigError, match="zeta"):
             build_params({k: v for k, v in FIG1_VALUES.items() if k != "zeta"})
@@ -132,6 +153,29 @@ class TestAnalyze:
         fig1 = build_params(FIG1_VALUES)
         assert nash_equilibria(fig1).admissibility_source is AdmissibilitySource.BOTH
         assert run_single(fig1)["flags"] == ""
+
+    @pytest.mark.parametrize("values, flags", [
+        (dict(d=0.0, x=0.5, w=0.5, n=2, alpha=1.0, beta=1.0, gamma=1.0, zeta=1.0, r_d=0.0, r_s=0.0),
+         "ZeroDenominator"),
+        (dict(d=0.1, x=0.1, w=0.9, n=1, alpha=5.0, beta=5.0, gamma=0.2, zeta=10.0, r_d=0.0, r_s=0.0),
+         "Degenerate;NegativeDenominator"),
+        (dict(FIG1_VALUES, zeta=5.0), "NoEquilibria"),
+    ])
+    def test_pos_flags_match_the_library_in_flag_order(self, values, flags):
+        p = build_params(values)
+        record = run_single(p)
+        assert record["flags"] == flags
+        tokens = [flag.value for flag in PosFlag if flag in maximize_welfare(p).pos_flags]
+        assert record["flags"].split(";")[-len(tokens):] == tokens
+        assert record["pos"] is None
+
+    def test_face_root_within_eps_den_at_zeta_bar(self, capsys, config_path):
+        # The face root at zeta_bar is 3e-14 above d; see TestCriticalZeta.
+        assert main(["analyze", "--config", config_path, "--alpha", "1e-13", "--gamma", "1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        (row,) = parse_csv(captured.out)
+        assert row["zeta_bar"] == 5.5555555555566616e+25
 
     def test_invalid_field_exit_code(self, capsys, config_path):
         code = main(["analyze", "--config", config_path, "--gamma", "-1"])
@@ -558,6 +602,9 @@ class TestRobustness:
             ModelParams(**dict(FIG1_VALUES, n=0))
         assert main(["analyze", "--config", config_path, "--n", "1e19"]) == 1
         assert capsys.readouterr().err == "error: n: must be at most 2**53, got 10000000000000000000\n"
+        # A flag reads an integer literal exactly, as a file does.
+        assert main(["analyze", "--config", config_path, "--n", str(2**53 + 1)]) == 1
+        assert capsys.readouterr().err == "error: n: must be at most 2**53, got 9007199254740993\n"
         path = tmp_path / "huge.cfg"
         path.write_text(FIG1_CONFIG.replace("n = 1", f"n = {2**53 + 1}"))
         assert f"n = {2**53 + 1}" in path.read_text()

@@ -6,6 +6,7 @@ import pytest
 
 from advisorgame import (
     AdmissibilitySource,
+    EPS_DEN,
     DegenerateDenominator,
     EqualReturns,
     LimitRegime,
@@ -263,6 +264,34 @@ class TestCriticalZeta:
                 continue
             crit = critical_zeta(p)
             assert crit.positive == (p.r_s < p.r_d)
+
+    def test_face_root_within_eps_den_of_the_baseline(self, fig1):
+        # At zeta_bar the face root is d + (x - d) alpha / (alpha + gamma)
+        # = d + 3e-14: within EPS_DEN of d, so its equilibrium is absent,
+        # and the other root misses c = d by 0.3.
+        crit = critical_zeta(fig1.replace(alpha=1e-13, gamma=1.0))
+        assert crit.zeta_bar == 5.5555555555566616e+25
+        assert crit.positive
+
+    def test_absent_face_root_meets_the_contract(self):
+        # alpha / gamma in [1e-15, 1e-11] puts most face roots within
+        # EPS_DEN of d. A root less than a few ulps above d can round onto
+        # d, where c = d cannot be told from a miss, so those are skipped.
+        rng = np.random.default_rng(41)
+        absent = 0
+        for _ in range(300):
+            d, x = np.sort(rng.uniform(0.0, 1.0, 2)).tolist()
+            r_s, r_d = np.sort(rng.uniform(0.0, 1.0, 2)).tolist()
+            gamma = 10.0 ** rng.uniform(-3.0, 3.0)
+            alpha = gamma * 10.0 ** rng.uniform(-15.0, -11.0)
+            face = (x - d) * alpha / (alpha + gamma)
+            if not face > 4.0 * np.spacing(d):
+                continue
+            p = ModelParams(d=d, x=x, w=0.5, n=1, alpha=alpha, beta=1.0, gamma=gamma,
+                            zeta=1.0, r_d=r_d, r_s=r_s)
+            assert critical_zeta(p).positive
+            absent += face <= EPS_DEN
+        assert absent > 100
 
     def test_unsupported_preconditions(self, fig1):
         with pytest.raises(UnsupportedN):
