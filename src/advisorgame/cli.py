@@ -289,7 +289,7 @@ def make_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sweep.add_argument("--param", required=True, help="parameter to sweep")
     sweep.add_argument("--range", required=True, dest="sweep_range", help="lo:hi:steps")
-    oracle.add_argument("--seed", type=int, default=0, help="seed of the random Nash deviations")
+    oracle.add_argument("--seed", type=int, default=0, help="seed of the random Nash deviations (>= 0)")
     oracle.add_argument("--grid-resolution", type=float, default=1e-3, help="step of the welfare grid")
     return parser
 
@@ -312,6 +312,8 @@ def main(argv=None) -> int:
     try:
         values = _collect_values(args)
         if args.command == "oracle-check":
+            if args.seed < 0:
+                raise InvalidParameter("seed", f"must be a non-negative integer, got {args.seed}")
             p = build_params(values)
             with _output(args.out) as stream:
                 ok = run_oracle_check(p, args.seed, args.grid_resolution, stream)

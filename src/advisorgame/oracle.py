@@ -146,6 +146,62 @@ def _row_bounds(p: ModelParams, s_term, c_term, c_gap, s_gap, axis, j0: int, j1:
     return bound
 
 
+def _block_tops(p: ModelParams, s_term, s_gap, axis, starts, ends, slack: float):
+    """Upper bound on the _row_bounds of every block at once, in closed form.
+
+    Block b has the columns j0 = starts[b] <= j < j1 = ends[b] and the
+    rows i < j1. Up to rounding, its row bound at c_i is g(c_i) for the
+    real function on [d, c_last], c_last = c_{j1-1} = s_{j1-1},
+
+        g(c) = S_b + slack + n R(c) - beta n (w - c)^2
+               - (gamma + zeta) n max(0, s_j0 - c)^2,
+
+    where S_b is the block's max of s_term, R(c) = r_d + k (c - d) with
+    k = (r_s - r_d) / s_gap_{j1-1} when r_s < r_d, and R = max(r_d, r_s),
+    k = 0, otherwise.
+
+    R is linear because the min(1, .) of _row_bounds never binds on these
+    rows. The rows stop at the block's last column (see _grid_homogeneous),
+    and c_gap, rounded from an increasing axis, does not decrease, so each
+    row has c_gap_i <= c_gap_{j1-1}. If s - d > EPS_DEN at column
+    j1 - 1, then s_gap_{j1-1} = c_gap_{j1-1}, and rounded division by a
+    divisor no smaller than the dividend is at most 1; otherwise
+    s_gap_{j1-1} = 1 > EPS_DEN >= c_gap_i.
+
+    g is concave, as max(0, .)^2 is convex, so g lies below its tangent
+    at any c of [d, c_last], and there the tangent is largest at an end:
+    the top is g(c) + max(g'(c) (d - c), g'(c) (c_last - c)) + slack,
+    wherever c lies. It is tight at g's maximizer: g'(s_j0) has the sign
+    of both pieces' vertices minus s_j0, so the maximizer is the vertex
+    of the piece c >= s_j0 when the vertex of the piece c <= s_j0 is not
+    below s_j0, and that vertex otherwise, clamped to [d, c_last].
+
+    Every intermediate here and in _row_bounds is at most 4 scale in
+    magnitude (see _one_coordinate_terms): |n k (c - d)| <= n |r_s - r_d|,
+    as c - d <= s_gap_{j1-1}; (w - c)^2 and |w - c| |c_last - c| are at
+    most twice the larger (w - c)^2 of the grid points d and c_last; and
+    |s_j0 - c| <= 1. So the roughly 20 roundings of a top and 15 of a row
+    bound err by at most about 1.6e-14 scale, which the second slack
+    covers some 60 times. Where beta n nears overflow a top may not be
+    finite; the caller reads it as +inf.
+    """
+    lo, hi, s0 = p.d, axis[ends - 1], axis[starts]
+    bn, gn = p.beta * p.n, (p.gamma + p.zeta) * p.n
+    if p.r_s < p.r_d:
+        k, r = (p.r_s - p.r_d) / s_gap[ends - 1], p.r_d
+    else:
+        k, r = 0.0, max(p.r_d, p.r_s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        below = (0.5 * k + p.beta * p.w + (p.gamma + p.zeta) * s0) / (p.beta + p.gamma + p.zeta)
+        c = np.clip(np.where(below >= s0, p.w + 0.5 * k / p.beta, below), lo, hi)
+        short = np.maximum(s0 - c, 0.0)
+        value = np.maximum.reduceat(s_term, starts) + slack + p.n * (r + k * (c - lo))
+        value -= bn * np.square(p.w - c) + gn * np.square(short)
+        slope = p.n * k + 2.0 * (bn * (p.w - c) + gn * short)
+        value += np.maximum(slope * (lo - c), slope * (hi - c))
+    return value + slack
+
+
 def _grid_homogeneous(p: ModelParams, res: float):
     """Symmetric-slice grid (all customers equal) plus exact face lines.
 
@@ -160,14 +216,18 @@ def _grid_homogeneous(p: ModelParams, res: float):
     the winner is the dense array's first maximum in C order (smallest c
     index, then smallest s index), so profile and value are bit-identical.
 
-    Blocks are visited in descending order of their largest row bound
-    (_row_bounds). When r_s < r_d, a row's return term is bounded through
-    its smallest interpolation fraction in the block rather than by
-    n max(r_d, r_s), which only the c = d row reaches; most blocks then
-    fall below the best cell and are never evaluated. A block evaluates
-    only the contiguous range of rows whose bound reaches the best cell
-    value found so far. A skipped row's cells all lie below a cell already
-    found, so none of them can be the dense argmax or tie with it, and the
+    Each row of a block has an upper bound on its cells (_row_bounds).
+    When r_s < r_d, a row's return term is bounded through its smallest
+    interpolation fraction in the block rather than by n max(r_d, r_s),
+    which only the c = d row reaches; most blocks then fall below the best
+    cell and are never evaluated. Blocks are visited in descending order
+    of a top that bounds all their row bounds, computed for every block at
+    once in closed form (_block_tops); a top that is not finite counts as
+    +inf. The visit stops at the first top below the best cell value found
+    so far. A visited block computes its row bounds and evaluates only the
+    contiguous range of rows whose bound reaches that value, and none when
+    no row does. A skipped row's cells all lie below a cell already found,
+    so none of them can be the dense argmax or tie with it, and the
     per-block bests, put back in block order, give the dense winner. When
     the bounds are unused (see _one_coordinate_terms) every row of every
     block is evaluated.
@@ -184,14 +244,19 @@ def _grid_homogeneous(p: ModelParams, res: float):
     s_ok = c_gap > EPS_DEN
     s_gap = np.where(s_ok, c_gap, 1.0)
 
-    starts = range(0, len(axis), GRID_BLOCK)
-    ends = [min(j0 + GRID_BLOCK, len(axis)) for j0 in starts]
-    # Rows past the last c <= max(s) + 1e-15 of a block are all masked out.
-    row_ends = np.searchsorted(axis, axis[np.array(ends) - 1] + 1e-15, side="right")
+    starts = np.arange(0, len(axis), GRID_BLOCK)
+    ends = np.minimum(starts + GRID_BLOCK, len(axis))
+    # A block's rows stop at its last column: every later row lies more
+    # than 1e-15 above every s of the block, so all its cells are masked
+    # out. The axis steps by at least 1e-4, and _axis appends its last
+    # point 1 only when the point before lies below fl(1 - 1e-15) =
+    # 1 - 9 ulp; adding 1e-15 (9.007 ulp) to a point at least 10 ulp
+    # below 1 rounds below 1.
     order = range(len(starts))
     if slack is not None:
-        tops = [_row_bounds(p, s_term, c_term, c_gap, s_gap, axis, j0, j1, rows, slack).max()
-                for j0, j1, rows in zip(starts, ends, row_ends)]
+        tops = _block_tops(p, s_term, s_gap, axis, starts, ends, slack)
+        # A NaN would sort last, past the break below, and never be evaluated.
+        tops[~np.isfinite(tops)] = np.inf
         order = np.argsort(np.negative(tops), kind="stable")
 
     best_val = np.full(len(starts), -np.inf)
@@ -199,13 +264,15 @@ def _grid_homogeneous(p: ModelParams, res: float):
     best_j = np.zeros(len(starts), dtype=int)
     incumbent = -np.inf
     for b in order:
-        j0, j1, rows = starts[b], ends[b], int(row_ends[b])
-        lo = 0
+        j0, j1 = int(starts[b]), int(ends[b])
+        lo, rows = 0, j1
         if slack is not None:
             if tops[b] < incumbent:
-                break  # so are the bounds of every block after it
+                break  # so are the tops of every block after it
             bound = _row_bounds(p, s_term, c_term, c_gap, s_gap, axis, j0, j1, rows, slack)
             keep = np.flatnonzero(bound >= incumbent)
+            if not keep.size:
+                continue  # its top reaches the incumbent, but none of its rows do
             lo, rows = int(keep[0]), int(keep[-1]) + 1
         s = axis[j0:j1]
         # Rows below ``near`` lie more than 1e-14 below every s of the

@@ -92,7 +92,7 @@ class WelfareReport:
     sw_at_star: Optional[float]
     sw_at_dagger: Optional[float]
     pos: Optional[float]
-    pos_flags: frozenset
+    pos_flags: Tuple[PosFlag, ...]  # in PosFlag order
     equilibria: EquilibriumPair
 
 
@@ -343,7 +343,7 @@ class WelfareArrays(NamedTuple):
 
     def report(self, i: int, n: int) -> WelfareReport:
         eq = self.equilibria.pair(i, n)
-        flags = frozenset(flag for flag, on in zip(PosFlag, self.flags[:, i].tolist()) if on)
+        flags = tuple(flag for flag, on in zip(PosFlag, self.flags[:, i].tolist()) if on)
         return WelfareReport(
             sw_max=self.sw_max[i].item(),
             argmax=OpinionProfile.uniform(self.arg_c[i], self.arg_s[i], n),

@@ -537,6 +537,19 @@ class TestOracleCheck:
         assert text.startswith("[PASS] welfare grid agreement")
         assert "[PASS] P+ is a best-response fixed point" in text
 
+    def test_negative_seed_is_a_config_error(self, capsys, tmp_path, config_path):
+        # Checked before the grid runs and before --out is opened, so no
+        # [PASS] line is written ahead of the error.
+        path = tmp_path / "oracle.txt"
+        for out in ([], ["--out", str(path)]):
+            code = main(["oracle-check", "--config", config_path, "--grid-resolution", "0.002",
+                         "--seed", "-1"] + out)
+            assert code == 1
+            captured = capsys.readouterr()
+            assert captured.err == "error: seed: must be a non-negative integer, got -1\n"
+            assert captured.out == ""
+        assert not path.exists()
+
     def test_grid_over_budget_exit_code(self, capsys, config_path):
         # The finest resolution on the full [0, 1] axis exceeds the point
         # budget; the check fails before the 2-D grid is allocated.

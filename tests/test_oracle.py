@@ -29,7 +29,13 @@ from advisorgame import (
     total_utility,
 )
 from advisorgame import oracle
-from advisorgame.oracle import GRID_BLOCK, _axis, _one_coordinate_terms, _row_bounds
+from advisorgame.oracle import (
+    GRID_BLOCK,
+    _axis,
+    _block_tops,
+    _one_coordinate_terms,
+    _row_bounds,
+)
 
 from conftest import draw_domain_point, draw_params
 
@@ -187,6 +193,47 @@ def _return_bound_cases(fig1):
     return cases
 
 
+# beta n is within 4 000x of overflow; (w - c)^2 <= 1.1e-5 over the three
+# blocks of the axis keeps the cells finite and the row bounds in use.
+NEAR_OVERFLOW = ModelParams(d=1 - 64e-4, x=0.5, w=1 - 32e-4, n=1, alpha=1.0, beta=5e304,
+                            gamma=1.0, zeta=1.0, r_d=0.3, r_s=0.2)
+
+
+def _row_bound_cases(fig1):
+    """Seeded, fig1, tie, near-overflow and return-bound points with their
+    resolutions."""
+    rng = np.random.default_rng(100)  # the 1e-2 draws of test_seeded_points
+    cases = [(draw_params(rng, n=int(rng.choice([1, 3, 7, 1000]))), 1e-2) for _ in range(60)]
+    variants = (fig1, fig1.replace(n=2), fig1.replace(r_s=0.35, zeta=3.0), fig1.replace(n=1000))
+    cases += [(q, res) for res in (1e-2, 1e-3) for q in variants]
+    # The points of test_ties_take_the_first_cell_in_c_order.
+    tiny = dict(alpha=1e-30, beta=1e-30, gamma=1e-30, zeta=1e-30)
+    base = ModelParams(d=0.0, x=0.5, w=0.5, n=1, r_d=0.3, r_s=0.3, **tiny)
+    cases += [(base, 1 / 64), (base.replace(alpha=1.0, x=31.5 / 64), 1 / 64),
+              (base.replace(beta=1.0, w=40.5 / 64), 1 / 64),
+              (base.replace(x=0.6, w=0.5, alpha=2e-16, beta=3e-16, r_d=0.72, r_s=0.72), 1e-2)]
+    return cases + [(NEAR_OVERFLOW, 1e-4)] + _return_bound_cases(fig1)
+
+
+def _tops_and_row_maxima(p, res):
+    """The closed-form top of every block of the grid, and the largest
+    _row_bounds of its rows, those up to its last column."""
+    axis = _axis(p.d, 1.0, res)
+    s_term, c_term, slack = _one_coordinate_terms(p, axis)
+    assert slack is not None
+    c_gap = axis - p.d
+    s_gap = np.where(c_gap > EPS_DEN, c_gap, 1.0)
+    starts = np.arange(0, len(axis), GRID_BLOCK)
+    ends = np.minimum(starts + GRID_BLOCK, len(axis))
+    # The grid stops a block's rows at its last column: every later row
+    # lies above the block's largest s + 1e-15, so all its cells are masked.
+    assert np.array_equal(np.searchsorted(axis, axis[ends - 1] + 1e-15, side="right"), ends)
+    tops = _block_tops(p, s_term, s_gap, axis, starts, ends, slack)
+    maxima = [np.max(_row_bounds(p, s_term, c_term, c_gap, s_gap, axis, j0, j1, j1, slack))
+              for j0, j1 in zip(starts.tolist(), ends.tolist())]
+    return tops, np.array(maxima)
+
+
 class TestBlockedGrid:
     """The streamed grid against the dense s x c evaluation, with ==."""
 
@@ -283,18 +330,7 @@ class TestBlockedGrid:
         _assert_matches_dense(p, 1.0 / 64)
 
     def test_cells_lie_below_their_row_bounds(self, fig1):
-        rng = np.random.default_rng(100)  # the 1e-2 draws of test_seeded_points
-        cases = [(draw_params(rng, n=int(rng.choice([1, 3, 7, 1000]))), 1e-2) for _ in range(60)]
-        variants = (fig1, fig1.replace(n=2), fig1.replace(r_s=0.35, zeta=3.0), fig1.replace(n=1000))
-        cases += [(q, res) for res in (1e-2, 1e-3) for q in variants]
-        # The points of test_ties_take_the_first_cell_in_c_order.
-        tiny = dict(alpha=1e-30, beta=1e-30, gamma=1e-30, zeta=1e-30)
-        base = ModelParams(d=0.0, x=0.5, w=0.5, n=1, r_d=0.3, r_s=0.3, **tiny)
-        cases += [(base, 1 / 64), (base.replace(alpha=1.0, x=31.5 / 64), 1 / 64),
-                  (base.replace(beta=1.0, w=40.5 / 64), 1 / 64),
-                  (base.replace(x=0.6, w=0.5, alpha=2e-16, beta=3e-16, r_d=0.72, r_s=0.72), 1e-2)]
-        cases += _return_bound_cases(fig1)
-        for p, res in cases:
+        for p, res in _row_bound_cases(fig1):
             axis, sw = _dense_welfare(p, res)
             for j0 in range(0, len(axis), GRID_BLOCK):
                 j1 = min(j0 + GRID_BLOCK, len(axis))
@@ -305,7 +341,7 @@ class TestBlockedGrid:
         for p, res in _return_bound_cases(fig1):
             _assert_matches_dense(p, res)
 
-    def test_bounds_prune_all_but_the_winning_block(self, fig1):
+    def test_bounds_prune_all_but_the_winning_block(self, fig1, monkeypatch):
         # r_s < r_d at fig1: each row's return is bounded through its
         # smallest interpolation fraction in the block. With n max(r_d, r_s)
         # instead, 23 of the 29 blocks reach the grid maximum.
@@ -317,6 +353,50 @@ class TestBlockedGrid:
             tops.append(np.max(_block_bounds(fig1, axis, j0, j1, j1)))
         assert len(tops) == 29
         assert sum(t >= top for t in tops) <= 1
+        # So are the closed-form tops that order the blocks: only the
+        # first block visited computes its row bounds.
+        closed, _ = _tops_and_row_maxima(fig1, 1e-3)
+        assert np.sum(closed >= top) <= 1
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _row_bounds(*args)
+
+        monkeypatch.setattr(oracle, "_row_bounds", counted)
+        assert grid_max_welfare(fig1, GridSpec(1e-3))[1] == top
+        assert len(calls) == 1
+
+    def test_block_tops_bound_their_row_bounds(self, fig1):
+        for p, res in _row_bound_cases(fig1):
+            tops, maxima = _tops_and_row_maxima(p, res)
+            assert np.all(tops >= maxima)
+
+    def test_near_overflow_weights_match_dense(self):
+        _assert_matches_dense(NEAR_OVERFLOW, 1e-4)
+
+    def test_blocks_without_a_winning_row_are_skipped(self, fig1, monkeypatch):
+        # Every block is visited, in block order; those after the winner
+        # reach the incumbent with their top but with none of their rows.
+        def no_tops(p, s_term, s_gap, axis, starts, ends, slack):
+            return np.full(len(starts), np.inf)
+
+        monkeypatch.setattr(oracle, "_block_tops", no_tops)
+        for p, res in [(fig1, 1e-3), (fig1.replace(r_s=0.35, zeta=3.0), 1e-3)] + _return_bound_cases(fig1):
+            _assert_matches_dense(p, res)
+
+    def test_a_top_that_is_not_finite_is_evaluated(self, fig1, monkeypatch):
+        # Sorted as it is, a NaN top would come last, after the break.
+        axis, sw = _dense_welfare(fig1, 1e-3)
+        winner = np.unravel_index(int(np.argmax(sw)), sw.shape)[1] // GRID_BLOCK
+
+        def nan_at_winner(*args):
+            tops = _block_tops(*args)
+            tops[winner] = np.nan
+            return tops
+
+        monkeypatch.setattr(oracle, "_block_tops", nan_at_winner)
+        _assert_matches_dense(fig1, 1e-3)
 
     def test_blocks_combine_in_block_order(self):
         # Every value here is a short dyadic fraction, so each cell is

@@ -1,6 +1,11 @@
 """Welfare quartic, global maximization, equilibrium payoffs and the
 Price of Stability."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -331,8 +336,27 @@ class TestMaximizeWelfare:
                         zeta=1.0, r_d=0.0, r_s=0.0)
         report = maximize_welfare(p)
         assert report.sw_max == 0.0
-        assert report.pos_flags == {PosFlag.ZERO_DENOMINATOR}
+        assert report.pos_flags == (PosFlag.ZERO_DENOMINATOR,)
         assert report.pos is None
+
+    def test_report_repr_does_not_depend_on_the_string_hash(self):
+        # Two flags: held in a set, their order followed the hash of the
+        # member names, which Python randomizes per process.
+        code = ("from advisorgame import ModelParams, maximize_welfare; print(repr(maximize_welfare("
+                "ModelParams(d=0.1, x=0.1, w=0.9, n=1, alpha=5.0, beta=5.0, gamma=0.2, zeta=0.001,"
+                " r_d=0.0, r_s=0.5))))")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        outputs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+            done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                  text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
+        assert "pos_flags=(<PosFlag.NEGATIVE_DENOMINATOR: 'NegativeDenominator'>, " \
+               "<PosFlag.NO_EQUILIBRIA: 'NoEquilibria'>)" in outputs[0]
 
 
 class TestEquilibriumUtilities:
