@@ -68,21 +68,27 @@ def number(text: str):
 
 def parse_config(path: str) -> dict:
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-            key, _, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            if key not in PARAM_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                values[key] = number(val) if key == "n" else float(val)
-            except ValueError:
-                raise ConfigError(f"{path}:{lineno}: field {key!r}: not a number: {val!r}")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ConfigError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
+        key, _, val = line.partition("=")
+        key, val = key.strip(), val.strip()
+        if key not in PARAM_KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            values[key] = number(val) if key == "n" else float(val)
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: field {key!r}: not a number: {val!r}")
     return values
 
 
@@ -243,7 +249,12 @@ def emit_json(rows, stream) -> None:
 def _output(path):
     """The ``--out`` file opened for writing, or stdout (left open) when
     no path is given; use it in a ``with``."""
-    return open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout)
+    if not path:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def run_oracle_check(p: ModelParams, seed: int, resolution: float, stream) -> bool:
@@ -329,7 +340,7 @@ def main(argv=None) -> int:
             rows = run_sweep(values, args.param, lo, hi, steps)
         with _output(args.out) as stream:
             (emit_json if args.format == "json" else emit_csv)(rows, stream)
-    except (ConfigError, InvalidParameter, GridTooLarge, FileNotFoundError) as exc:
+    except (ConfigError, InvalidParameter, GridTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except AdvisorGameError as exc:

@@ -24,8 +24,9 @@ from .model import (
 from .params import EPS_DEN, HeterogeneousParams, ModelParams, OpinionProfile
 
 MAX_GRID_POINTS = 100_000_000
-# Columns of the s axis per block of the homogeneous grid; 16 to 64 are
-# about equally fast, much wider blocks fall out of cache.
+# Columns of the s axis per block of the homogeneous grid. Per oracle pool
+# point at 5e-4, 1e-3 and 1e-4, 16 columns were 3-23% slower and 64 from 8%
+# faster to 14% slower (2-vCPU host); much wider blocks fall out of cache.
 GRID_BLOCK = 32
 # Cells of one (deviation x customer) array in the Nash deviation check.
 DEVIATION_CELLS = 1 << 16
@@ -202,6 +203,40 @@ def _block_tops(p: ModelParams, s_term, s_gap, axis, starts, ends, slack: float)
     return value + slack
 
 
+def _cells(p: ModelParams, s_term, c_term, c_gap, s_gap, axis, j0: int, j1: int, lo: int,
+           rows: int):
+    """The rounded welfare of the grid cells c_i x s_j, lo <= i < rows and
+    j0 <= j < j1, and -inf off the feasible set c <= s + 1e-15.
+
+    Every cell is computed with the same operations, in the same order,
+    as the dense s x c array, so each value is bit-identical to it. The
+    arguments are the grid's (see _row_bounds).
+    """
+    s = axis[j0:j1]
+    # Rows below ``near`` lie more than 1e-14 below every s of the
+    # block, so neither the c = s test nor the mask can hold there.
+    near = max(int(np.searchsorted(axis, s[0] - 1e-14)) - lo, 0)
+    c = axis[lo:rows, None]
+    s_c = s - c
+    frac = c_gap[lo:rows, None] / s_gap[j0:j1]
+    frac[:, c_gap[j0:j1] <= EPS_DEN] = 0.0
+    # At c = s the interpolated return is exactly r_s, also in the s -> d corner.
+    frac[near:][np.abs(s_c[near:]) <= 1e-15] = 1.0
+    # In place from here on; + and * commute exactly, so each line is
+    # the dense expression's operation on the same operands.
+    sq = np.square(s_c, out=s_c)
+    frac *= p.r_s - p.r_d
+    frac += p.r_d
+    penalty = p.zeta * sq
+    frac -= penalty  # u_cl = r_d + frac (r_s - r_d) - zeta (s - c)^2
+    sw = s_term[j0:j1] - c_term[lo:rows, None]
+    sw -= np.multiply(sq, p.gamma * p.n, out=penalty)  # u_a
+    frac *= p.n
+    sw += frac  # u_a + n u_cl
+    sw[near:][c[near:] > s + 1e-15] = -np.inf
+    return sw
+
+
 def _grid_homogeneous(p: ModelParams, res: float):
     """Symmetric-slice grid (all customers equal) plus exact face lines.
 
@@ -231,6 +266,16 @@ def _grid_homogeneous(p: ModelParams, res: float):
     per-block bests, put back in block order, give the dense winner. When
     the bounds are unused (see _one_coordinate_terms) every row of every
     block is evaluated.
+
+    The first block visited would meet an incumbent of -inf and evaluate
+    all its rows, so its row with the largest bound is evaluated first
+    (_cells, over the block's columns), and its best cell seeds the
+    incumbent before the block's rows are pruned. The seed is the value of
+    a real feasible cell: row r < j1 has c_r <= c_{j1-1} = s_{j1-1}, so
+    its cell at column j1 - 1 is feasible, and it is finite wherever the
+    bounds are used. So the seed is at most the dense maximum, and a row
+    pruned by bound < seed has every cell below that maximum; the rows
+    kept by bound >= seed include every row that reaches or ties it.
     """
     axis = _axis(p.d, 1.0, res)  # both the s and the c axis
     count = len(axis) * len(axis)
@@ -241,8 +286,7 @@ def _grid_homogeneous(p: ModelParams, res: float):
     # s - d are the same vector because the axes coincide.
     s_term, c_term, slack = _one_coordinate_terms(p, axis)
     c_gap = axis - p.d
-    s_ok = c_gap > EPS_DEN
-    s_gap = np.where(s_ok, c_gap, 1.0)
+    s_gap = np.where(c_gap > EPS_DEN, c_gap, 1.0)
 
     starts = np.arange(0, len(axis), GRID_BLOCK)
     ends = np.minimum(starts + GRID_BLOCK, len(axis))
@@ -270,32 +314,15 @@ def _grid_homogeneous(p: ModelParams, res: float):
             if tops[b] < incumbent:
                 break  # so are the tops of every block after it
             bound = _row_bounds(p, s_term, c_term, c_gap, s_gap, axis, j0, j1, rows, slack)
+            if incumbent == -np.inf:  # the first block visited: seed the incumbent
+                seed = int(np.argmax(bound))
+                row = _cells(p, s_term, c_term, c_gap, s_gap, axis, j0, j1, seed, seed + 1)
+                incumbent = np.max(row)
             keep = np.flatnonzero(bound >= incumbent)
             if not keep.size:
                 continue  # its top reaches the incumbent, but none of its rows do
             lo, rows = int(keep[0]), int(keep[-1]) + 1
-        s = axis[j0:j1]
-        # Rows below ``near`` lie more than 1e-14 below every s of the
-        # block, so neither the c = s test nor the mask can hold there.
-        near = max(int(np.searchsorted(axis, s[0] - 1e-14)) - lo, 0)
-        c = axis[lo:rows, None]
-        s_c = s - c
-        frac = c_gap[lo:rows, None] / s_gap[j0:j1]
-        frac[:, ~s_ok[j0:j1]] = 0.0
-        # At c = s the interpolated return is exactly r_s, also in the s -> d corner.
-        frac[near:][np.abs(s_c[near:]) <= 1e-15] = 1.0
-        # In place from here on; + and * commute exactly, so each line is
-        # the dense expression's operation on the same operands.
-        sq = np.square(s_c, out=s_c)
-        frac *= p.r_s - p.r_d
-        frac += p.r_d
-        penalty = p.zeta * sq
-        frac -= penalty  # u_cl = r_d + frac (r_s - r_d) - zeta (s - c)^2
-        sw = s_term[j0:j1] - c_term[lo:rows, None]
-        sw -= np.multiply(sq, p.gamma * p.n, out=penalty)  # u_a
-        frac *= p.n
-        sw += frac  # u_a + n u_cl
-        sw[near:][c[near:] > s + 1e-15] = -np.inf
+        sw = _cells(p, s_term, c_term, c_gap, s_gap, axis, j0, j1, lo, rows)
         i, j = np.unravel_index(int(np.argmax(sw)), sw.shape)
         best_val[b], best_i[b], best_j[b] = sw[i, j], lo + i, j0 + j
         incumbent = max(incumbent, sw[i, j])

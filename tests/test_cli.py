@@ -119,6 +119,15 @@ class TestConfig:
             build_params({k: v for k, v in FIG1_VALUES.items() if k != "zeta"})
 
 
+def _assert_config_error(capsys, argv, *names):
+    """``main(argv)`` exits 1 with a one-line ``error:`` naming ``names``."""
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert all(name in captured.err for name in names)
+    assert captured.out == ""
+
+
 class TestAnalyze:
     def test_reference_record(self):
         record = run_single(build_params(FIG1_VALUES))
@@ -287,6 +296,24 @@ class TestAnalyze:
 
     def test_missing_config_exit_code(self, capsys):
         assert main(["analyze", "--config", "/nonexistent.cfg"]) == 1
+
+    @pytest.mark.parametrize("command", ["analyze", "oracle-check"])
+    def test_out_directory_is_a_config_error(self, capsys, tmp_path, config_path, command):
+        _assert_config_error(
+            capsys, [command, "--config", config_path, "--out", str(tmp_path)], str(tmp_path)
+        )
+
+    def test_config_directory_is_a_config_error(self, capsys, tmp_path):
+        _assert_config_error(capsys, ["analyze", "--config", str(tmp_path)], str(tmp_path))
+
+    def test_config_under_a_file_is_a_config_error(self, capsys, config_path):
+        path = os.path.join(config_path, "x")
+        _assert_config_error(capsys, ["analyze", "--config", path], path)
+
+    def test_config_that_is_not_utf8_is_a_config_error(self, capsys, tmp_path):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(b"d = 0.1\n\xff\n")
+        _assert_config_error(capsys, ["analyze", "--config", str(path)], str(path), "UTF-8")
 
     def test_csv_output(self, tmp_path, config_path):
         out = tmp_path / "row.csv"

@@ -33,6 +33,7 @@ from advisorgame.oracle import (
     GRID_BLOCK,
     _axis,
     _block_tops,
+    _cells,
     _one_coordinate_terms,
     _row_bounds,
 )
@@ -197,6 +198,16 @@ def _return_bound_cases(fig1):
 # blocks of the axis keeps the cells finite and the row bounds in use.
 NEAR_OVERFLOW = ModelParams(d=1 - 64e-4, x=0.5, w=1 - 32e-4, n=1, alpha=1.0, beta=5e304,
                             gamma=1.0, zeta=1.0, r_d=0.3, r_s=0.2)
+
+
+# The oracle pool point whose grid at 5e-4 evaluated the most cells
+# (120 160) and peaked highest in traced memory (1.96 MB) before the first
+# visited block seeded its incumbent.
+WORST_POOL_POINT = ModelParams(
+    d=0.12822061068860946, x=0.8596915313797533, w=0.8620050717056892, n=1,
+    alpha=0.28564969197963364, beta=0.38823378091806743, gamma=0.0671867310409242,
+    zeta=0.6356966613163162, r_d=0.6378962062165215, r_s=0.32986080565406506,
+)
 
 
 def _row_bound_cases(fig1):
@@ -417,14 +428,65 @@ class TestBlockedGrid:
         assert value == 0.5 - 799 / 4096
         _assert_matches_dense(p, 1.0 / 64)
 
+    def test_seed_row_need_not_hold_the_winner(self, monkeypatch):
+        # Every value here is a short dyadic fraction, so each cell is
+        # exact. Rows c = 25/64 and 26/64 tie as the best of the grid, at
+        # s = 26/64 and 27/64. The first block visited is block 0, and its
+        # row with the largest bound, which seeds the incumbent, is c = 23/64.
+        p = ModelParams(d=0.0, x=73 / 128, w=23 / 64, n=1, alpha=0.5, beta=2.0,
+                        gamma=4.0, zeta=1.0, r_d=0.5, r_s=0.5)
+        res = 1.0 / 64
+        axis, sw = _dense_welfare(p, res)
+        rows, cols = np.nonzero(sw == np.max(sw))
+        assert rows.tolist() == [25, 26] and cols.tolist() == [26, 27]
+        assert np.argmax(_tops_and_row_maxima(p, res)[0]) == 0
+        assert np.argmax(_block_bounds(p, axis, 0, GRID_BLOCK, GRID_BLOCK)) == 23
+        point, value = grid_max_welfare(p, GridSpec(res))
+        assert point == OpinionProfile.uniform(25 / 64, 26 / 64, 1)
+        assert value == 0.5 - 545 / 32768
+        _assert_matches_dense(p, res)
+
+        # The slack keeps every row bound above its row's cells, so no row
+        # bound equals the incumbent. With the tightest valid bounds, the
+        # row maxima, both tied rows' bounds equal it, and only pruning the
+        # rows with bound < incumbent keeps them.
+        def row_maxima(p, s_term, c_term, c_gap, s_gap, axis, j0, j1, rows, slack):
+            return np.max(sw[:rows, j0:j1], axis=1)
+
+        monkeypatch.setattr(oracle, "_row_bounds", row_maxima)
+        assert grid_max_welfare(p, GridSpec(res)) == (point, value)
+
+    @pytest.mark.parametrize(
+        "point, res, most",
+        [("fig1", 1e-3, 64), ("fig1", 1e-4, 96), ("worst", 5e-4, 78_272)],
+    )
+    def test_seeded_incumbent_bounds_the_cells_evaluated(self, fig1, monkeypatch, point, res, most):
+        # Before the seed, the first block visited evaluated every row:
+        # 1 024, 1 056 and 120 160 cells.
+        p = fig1 if point == "fig1" else WORST_POOL_POINT
+        expected = grid_max_welfare(p, GridSpec(res))
+        cells = []
+
+        def counted(*args):
+            sw = _cells(*args)
+            cells.append(sw.size)
+            return sw
+
+        monkeypatch.setattr(oracle, "_cells", counted)
+        assert grid_max_welfare(p, GridSpec(res)) == expected
+        assert sum(cells) <= most
+
     def test_finest_grid_memory_is_bounded(self, fig1):
-        tracemalloc.start()
-        try:
-            grid_max_welfare(fig1, GridSpec(1e-4))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 100e6
+        # Traced peaks: 0.40 MB on fig1 at 1e-4 and 0.55 MB on the worst
+        # pool point, which peaked at 1.96 MB before the seed.
+        for p, res in [(fig1, 1e-4), (WORST_POOL_POINT, 5e-4)]:
+            tracemalloc.start()
+            try:
+                grid_max_welfare(p, GridSpec(res))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1e6
 
 
 class TestDynamics:
