@@ -26,7 +26,7 @@ from .oracle import (
     lipschitz_bound,
     perturbation_check,
 )
-from .params import ModelParams
+from .params import FIELD_RULES, ModelParams
 from .welfare import LOCATIONS, PosFlag, maximize_welfare, welfare_arrays
 
 PARAM_KEYS = ("d", "x", "w", "n", "alpha", "beta", "gamma", "zeta", "r_d", "r_s")
@@ -48,8 +48,12 @@ COLUMNS = (
     "pos",
     "flags",
 )
+HEADER = ",".join(COLUMNS) + "\n"
+_BOOL_COLUMNS = ("star_admissible", "dagger_admissible")
+_TEXT_COLUMNS = ("sw_location", "flags")
 
-# Rows per kernel call in a sweep; bounds the kernel's temporaries.
+# Rows per kernel call in a sweep, and per write of its output; bounds the
+# kernels' temporaries and the rows held in memory.
 SWEEP_BLOCK = 1024
 
 
@@ -98,34 +102,27 @@ def _require(values: dict, keys) -> None:
         raise ConfigError(f"missing parameter(s): {', '.join(missing)}")
 
 
+def _integral(n) -> bool:
+    # An int is checked as it is: float() would round it, or overflow.
+    return isinstance(n, int) or float(n).is_integer()
+
+
 def build_params(values: dict) -> ModelParams:
     _require(values, PARAM_KEYS)
     n = values["n"]
-    # An int is checked as it is: float() would round it, or overflow.
-    if not (isinstance(n, int) or float(n).is_integer()):
+    if not _integral(n):
         raise InvalidParameter("n", f"must be an integer, got {n!r}")
     return ModelParams(**dict(values, n=int(n)))
-
-
-def fmt(value) -> str:
-    """Canonical cell text: 17 significant digits, idempotent under re-parsing."""
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, str):
-        return value
-    return "%.17g" % float(value)
 
 
 def _optional(values: np.ndarray, present: np.ndarray) -> list:
     return [v if ok else None for v, ok in zip(values.tolist(), present.tolist())]
 
 
-def _records(params: list, values: list) -> list:
-    """The analysis record of each point, from one pass of the kernels;
-    raises the error of the first point that fails a check."""
-    P = ParamBatch.of(params)
+def _analysis(P: ParamBatch, values: list) -> list:
+    """The analysis columns of a batch of points, in ``COLUMNS`` order and
+    with None for an absent value, from one pass of the kernels; raises
+    the error of the first point that fails a check."""
     errors = RowErrors()
     with np.errstate(all="ignore"):
         report = welfare_arrays(P, errors)
@@ -145,8 +142,7 @@ def _records(params: list, values: list) -> list:
     tokens = [(eq.degenerate, "Degenerate"), (eq.region & ~eq.agree, "RegionGeometryDisagreement")]
     tokens += [(mask, flag.value) for mask, flag in zip(report.flags, PosFlag)]
     marks = [[name if on else "" for on in mask.tolist()] for mask, name in tokens]
-    flags = [";".join(filter(None, row)) for row in zip(*marks)]
-    columns = zip(
+    return [
         values,
         eq.disc.tolist(),
         _optional(eq.roots[0], eq.real),
@@ -161,20 +157,78 @@ def _records(params: list, values: list) -> list:
         report.sw_max.tolist(),
         [LOCATIONS[k] for k in report.location.tolist()],
         _optional(report.pos, ~report.flags.any(axis=0)),
-        flags,
-    )
-    return [dict(zip(COLUMNS, row)) for row in columns]
+        [";".join(filter(None, row)) for row in zip(*marks)],
+    ]
+
+
+def _rows(columns: list) -> list:
+    """The records (dicts keyed by ``COLUMNS``) of a block of columns."""
+    return [dict(zip(COLUMNS, row)) for row in zip(*columns)]
 
 
 def run_single(p: ModelParams, value=None) -> dict:
     """One analysis record; ``value`` is the swept value column (if any)."""
-    return _records([p], [value])[0]
+    return _rows(_analysis(ParamBatch.of([p]), [value]))[0]
 
 
-def run_sweep(base_values: dict, param: str, lo: float, hi: float, steps: int) -> list:
-    """One record per swept value, ascending; invalid rows are kept with
-    an error marker instead of being dropped. Valid rows go through the
-    kernels SWEEP_BLOCK at a time."""
+def _sweep_values(lo: float, hi: float, steps: int, start: int, stop: int) -> np.ndarray:
+    """``np.linspace(lo, hi, steps)[start:stop]``, computed for those rows
+    only, by linspace's own arithmetic: row i is ``i * step + lo`` (or
+    ``i / (steps - 1) * (hi - lo) + lo`` where the step underflows to 0),
+    and the last row is ``hi``."""
+    delta = hi - lo
+    step = delta / (steps - 1)
+    rows = np.arange(start, stop, dtype=float)
+    values = rows * step if step != 0 else rows / (steps - 1) * delta
+    values += lo
+    if stop == steps:
+        values[-1] = hi
+    return values
+
+
+def _block_params(base_values: dict, param: str, values: np.ndarray):
+    """A sweep block's points, validated as arrays: the ``ParamBatch`` of
+    its valid rows (None if there are none) and, unless every row is
+    valid, the field each row fails first (None where it is valid), as
+    ``build_params`` would raise it on the same point."""
+    if param != "n" and not _integral(base_values["n"]):
+        return None, ["n"] * len(values)
+    point = {key: base_values[key] for key in PARAM_KEYS if key != param}
+    if param != "n":
+        point["n"] = int(point["n"])
+    # A swept n is rounded to the nearest integer, ties to even, as round() does.
+    point[param] = np.rint(values) if param == "n" else values
+    broken = np.full(len(values), -1)
+    for k, (name, (holds, _)) in enumerate(FIELD_RULES):
+        ok = holds(point[name])
+        if isinstance(ok, np.ndarray):
+            broken[(broken < 0) & ~ok] = k
+        elif not ok:
+            broken[broken < 0] = k
+    valid = broken < 0
+    count = int(np.count_nonzero(valid))
+    P = None
+    if count:
+        P = ParamBatch(*(point[key][valid] if key == param else np.full(count, float(point[key]))
+                         for key in PARAM_KEYS))
+    if count == len(values):
+        return P, None
+    return P, [None if k < 0 else FIELD_RULES[k][0] for k in broken.tolist()]
+
+
+def _spread(column: list, valid: list) -> list:
+    """A column of the valid rows of a block, with None at the other rows."""
+    cells = iter(column)
+    return [next(cells) if ok else None for ok in valid]
+
+
+def sweep_blocks(base_values: dict, param: str, lo: float, hi: float, steps: int):
+    """The rows of a 1-D sweep, one per swept value, ascending, as blocks
+    of up to SWEEP_BLOCK rows, each a list of columns in ``COLUMNS``
+    order. An invalid row is kept with an ``error:<field>`` marker instead
+    of being dropped. Valid rows go through the kernels a block at a time;
+    a block raises the error of its first failing row, after the blocks
+    before it have been yielded."""
     if param not in PARAM_KEYS:
         raise ConfigError(f"unknown sweep parameter {param!r}")
     # Also rejects ends whose difference overflows: linspace would turn
@@ -187,32 +241,47 @@ def run_sweep(base_values: dict, param: str, lo: float, hi: float, steps: int) -
         raise ConfigError(f"sweep steps must lie in [2, 1000000], got {steps}")
     # Checked once: a missing base key would otherwise mark every row.
     _require(base_values, [k for k in PARAM_KEYS if k != param])
-    sweep = np.linspace(lo, hi, steps).tolist()
-    rows = []
     for start in range(0, steps, SWEEP_BLOCK):
-        block, params, values = [], [], []
-        for value in sweep[start:start + SWEEP_BLOCK]:
-            point = dict(base_values)
-            point[param] = int(round(value)) if param == "n" else value
-            try:
-                params.append(build_params(point))
-            except InvalidParameter as exc:
-                row = {k: None for k in COLUMNS}
-                row["value"] = value
-                row["flags"] = f"error:{exc.field}"
-                block.append(row)
-                continue
-            block.append(None)
-            values.append(value)
-        records = iter(_records(params, values) if params else ())
-        rows.extend(next(records) if row is None else row for row in block)
-    return rows
+        values = _sweep_values(lo, hi, steps, start, min(start + SWEEP_BLOCK, steps))
+        P, fields = _block_params(base_values, param, values)
+        values = values.tolist()
+        if fields is None:
+            yield _analysis(P, values)
+            continue
+        valid = [field is None for field in fields]
+        computed = [[]] * len(COLUMNS)
+        if P is not None:
+            computed = _analysis(P, [v for v, ok in zip(values, valid) if ok])
+        block = [_spread(column, valid) for column in computed]
+        block[0] = values
+        block[-1] = [flag if field is None else f"error:{field}" for flag, field in zip(block[-1], fields)]
+        yield block
+
+
+def run_sweep(base_values: dict, param: str, lo: float, hi: float, steps: int) -> list:
+    """The records of ``sweep_blocks``, all of them."""
+    return [row for block in sweep_blocks(base_values, param, lo, hi, steps) for row in _rows(block)]
+
+
+def _csv_lines(columns: list) -> str:
+    """The CSV lines of a block of columns. A number is written with 17
+    significant digits, so it reads back as the same double; a boolean as
+    true or false; an absent value as an empty cell."""
+    cells = []
+    for key, column in zip(COLUMNS, columns):
+        if key in _TEXT_COLUMNS:
+            cells.append(["" if v is None else v for v in column])
+        elif key in _BOOL_COLUMNS:
+            cells.append(["" if v is None else "true" if v else "false" for v in column])
+        else:
+            cells.append(["" if v is None else "%.17g" % v for v in column])
+    return "".join([",".join(row) + "\n" for row in zip(*cells)])
 
 
 def emit_csv(rows, stream) -> None:
-    stream.write(",".join(COLUMNS) + "\n")
-    for row in rows:
-        stream.write(",".join(fmt(row[k]) for k in COLUMNS) + "\n")
+    """The header and one CSV line per record."""
+    columns = zip(*([row[key] for key in COLUMNS] for row in rows))
+    stream.write(HEADER + _csv_lines(list(columns)))
 
 
 def parse_csv(text: str) -> list:
@@ -225,9 +294,9 @@ def parse_csv(text: str) -> list:
         for key, cell in zip(header, cells):
             if cell == "":
                 row[key] = None
-            elif key in ("star_admissible", "dagger_admissible"):
+            elif key in _BOOL_COLUMNS:
                 row[key] = cell == "true"
-            elif key in ("sw_location", "flags"):
+            elif key in _TEXT_COLUMNS:
                 row[key] = cell
             else:
                 row[key] = float(cell)
@@ -236,14 +305,16 @@ def parse_csv(text: str) -> list:
 
 
 def emit_json(rows, stream) -> None:
+    """One JSON object per row, keys in ``COLUMNS`` order; a number that
+    is not finite is written as null."""
+    lines = []
     for row in rows:
         obj = {}
         for key in COLUMNS:
             v = row[key]
-            if isinstance(v, float) and not np.isfinite(v):
-                v = None
-            obj[key] = v
-        stream.write(json.dumps(obj) + "\n")
+            obj[key] = None if isinstance(v, float) and not math.isfinite(v) else v
+        lines.append(json.dumps(obj) + "\n")
+    stream.write("".join(lines))
 
 
 def _output(path):
@@ -257,14 +328,16 @@ def _output(path):
         raise ConfigError(str(exc)) from None
 
 
-def run_oracle_check(p: ModelParams, seed: int, resolution: float, stream) -> bool:
-    """Grid-vs-analytic and Nash cross-checks; prints one line per check."""
+def run_oracle_check(p: ModelParams, seed: int, resolution: float) -> tuple:
+    """Grid-vs-analytic and Nash cross-checks: whether all passed, and the
+    report, one line per check."""
     ok = True
+    lines = []
 
     def report(name, passed, detail=""):
         nonlocal ok
         ok = ok and passed
-        stream.write(f"[{'PASS' if passed else 'FAIL'}] {name}{': ' + detail if detail else ''}\n")
+        lines.append(f"[{'PASS' if passed else 'FAIL'}] {name}{': ' + detail if detail else ''}\n")
 
     grid_point, grid_val = grid_max_welfare(p, GridSpec(resolution))
     analytic = maximize_welfare(p)
@@ -280,7 +353,7 @@ def run_oracle_check(p: ModelParams, seed: int, resolution: float, stream) -> bo
         report(f"{name} Nash deviation check", perturbation_check(p, prof, 1000, seed=seed))
         trace = best_response_dynamics(p, prof, max_iter=10)
         report(f"{name} is a best-response fixed point", trace.converged)
-    return ok
+    return ok, "".join(lines)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -318,6 +391,23 @@ def _collect_values(args) -> dict:
 _parser = functools.lru_cache(maxsize=None)(make_parser)
 
 
+def _write(blocks, output_format: str, path) -> None:
+    """Write a block iterator's rows as each block is ready. The output is
+    opened once the first block is ready, so an error in it leaves stdout
+    empty and an existing ``--out`` file untouched; an error in a later
+    block ends the output after the rows of the blocks before it."""
+    block = next(blocks)
+    with _output(path) as stream:
+        if output_format == "csv":
+            stream.write(HEADER)
+        while block is not None:
+            if output_format == "json":
+                emit_json(_rows(block), stream)
+            else:
+                stream.write(_csv_lines(block))
+            block = next(blocks, None)
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
@@ -325,21 +415,22 @@ def main(argv=None) -> int:
         if args.command == "oracle-check":
             if args.seed < 0:
                 raise InvalidParameter("seed", f"must be a non-negative integer, got {args.seed}")
-            p = build_params(values)
+            # The report is made before --out is opened, so a check that
+            # fails with an error leaves an existing file untouched.
+            ok, report = run_oracle_check(build_params(values), args.seed, args.grid_resolution)
             with _output(args.out) as stream:
-                ok = run_oracle_check(p, args.seed, args.grid_resolution, stream)
+                stream.write(report)
             return 0 if ok else 2
         if args.command == "analyze":
-            rows = [run_single(build_params(values))]
+            blocks = iter([_analysis(ParamBatch.of([build_params(values)]), [None])])
         else:
             try:
                 lo, hi, steps = args.sweep_range.split(":")
                 lo, hi, steps = float(lo), float(hi), int(steps)
             except ValueError:
                 raise ConfigError(f"--range must be lo:hi:steps, got {args.sweep_range!r}")
-            rows = run_sweep(values, args.param, lo, hi, steps)
-        with _output(args.out) as stream:
-            (emit_json if args.format == "json" else emit_csv)(rows, stream)
+            blocks = sweep_blocks(values, args.param, lo, hi, steps)
+        _write(blocks, args.format, args.out)
     except (ConfigError, InvalidParameter, GridTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

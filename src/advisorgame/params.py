@@ -21,14 +21,32 @@ _UNIT_FIELDS = ("d", "x", "w", "r_d", "r_s")
 _POSITIVE_FIELDS = ("alpha", "beta", "gamma", "zeta")
 
 
-def _check_unit(name, value):
-    if not (0.0 <= value <= 1.0):
-        raise InvalidParameter(name, f"must lie in [0, 1], got {value!r}")
+# A rule is (test, requirement). Its test takes one value or an array of
+# values and returns where the rule holds, so a point and a sweep block
+# (``advisorgame.cli``) are checked by the same expression.
+_UNIT = (lambda v: (0.0 <= v) & (v <= 1.0), "must lie in [0, 1]")
+# NaN fails both comparisons.
+_POSITIVE = (lambda v: (0.0 < v) & (v < math.inf), "must be finite and strictly positive")
+
+# The rule of each ModelParams field, in the order they are checked: a
+# point fails on the first rule it breaks.
+FIELD_RULES = (
+    tuple((name, _UNIT) for name in _UNIT_FIELDS)
+    + tuple((name, _POSITIVE) for name in _POSITIVE_FIELDS)
+    + (
+        ("n", (lambda n: 1 <= n, "must be an integer >= 1")),
+        # The kernels hold n as a float64, which rounds integers above 2**53.
+        ("n", (lambda n: n <= 2**53, "must be at most 2**53")),
+    )
+)
 
 
-def _check_positive(name, value):
-    if not (math.isfinite(value) and value > 0.0):
-        raise InvalidParameter(name, f"must be finite and strictly positive, got {value!r}")
+def _check(name, value, rule, typed=True) -> None:
+    """Raise ``InvalidParameter`` for field ``name`` unless ``value`` is
+    ``typed`` and ``rule`` holds for it."""
+    holds, requirement = rule
+    if not (typed and holds(value)):
+        raise InvalidParameter(name, f"{requirement}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -69,15 +87,10 @@ class ModelParams:
     r_s: float
 
     def __post_init__(self):
-        for name in _UNIT_FIELDS:
-            _check_unit(name, getattr(self, name))
-        for name in _POSITIVE_FIELDS:
-            _check_positive(name, getattr(self, name))
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
-            raise InvalidParameter("n", f"must be an integer >= 1, got {self.n!r}")
-        # The kernels hold n as a float64, which rounds integers above 2**53.
-        if self.n > 2**53:
-            raise InvalidParameter("n", f"must be at most 2**53, got {self.n!r}")
+        # A point holds n as an int; a sweep block, as an integral float.
+        typed = isinstance(self.n, (int, np.integer))
+        for name, rule in FIELD_RULES:
+            _check(name, getattr(self, name), rule, typed or name != "n")
 
     def customer(self) -> CustomerSlice:
         return CustomerSlice(d=self.d, r_d=self.r_d, r_s=self.r_s, zeta=self.zeta)
@@ -107,18 +120,18 @@ class HeterogeneousParams:
 
     def __post_init__(self):
         for name in ("x", "w", "r_s"):
-            _check_unit(name, getattr(self, name))
+            _check(name, getattr(self, name), _UNIT)
         for name in _POSITIVE_FIELDS:
-            _check_positive(name, getattr(self, name))
+            _check(name, getattr(self, name), _POSITIVE)
         object.__setattr__(self, "d_i", tuple(float(v) for v in self.d_i))
         object.__setattr__(self, "r_d_i", tuple(float(v) for v in self.r_d_i))
         if not (0 < len(self.d_i) == len(self.r_d_i)):
             lengths = f"{len(self.r_d_i)} for {len(self.d_i)}"
             raise InvalidParameter("r_d_i", f"needs one entry per d_i entry (>= 1), got {lengths}")
         for i, v in enumerate(self.d_i):
-            _check_unit(f"d_i[{i}]", v)
+            _check(f"d_i[{i}]", v, _UNIT)
         for i, v in enumerate(self.r_d_i):
-            _check_unit(f"r_d_i[{i}]", v)
+            _check(f"r_d_i[{i}]", v, _UNIT)
 
     @property
     def n(self) -> int:

@@ -394,6 +394,51 @@ class TestSweep:
         assert rows[0]["a"] is None
         assert rows[-1]["flags"] == ""
 
+    @pytest.mark.parametrize("base, param, sweep_range", [
+        # Rows with d < 0 break d, which is checked before zeta.
+        (dict(FIG1_VALUES, zeta=-1.0), "d", (-0.1, 0.1, 9)),
+        # The integrality of a base n is checked before any field.
+        (dict(FIG1_VALUES, n=2.5), "d", (-0.1, 0.1, 5)),
+        # A swept n is rounded; counts past 2**53 break n.
+        (FIG1_VALUES, "n", (1.0, 1e19, 3)),
+        (dict(FIG1_VALUES, gamma=-1.0), "n", (-2.0, 1e19, 4)),
+        (dict(FIG1_VALUES, r_s=2.0), "n", (0.4, 2.6, 5)),
+    ])
+    def test_error_rows_name_the_field_build_params_rejects(self, base, param, sweep_range):
+        rows = run_sweep(base, param, *sweep_range)
+        for row in rows:
+            value = row["value"]
+            try:
+                build_params(dict(base, **{param: int(round(value)) if param == "n" else value}))
+            except InvalidParameter as exc:
+                assert row["flags"] == f"error:{exc.field}", value
+            else:
+                assert not row["flags"].startswith("error:"), value
+
+    @pytest.mark.parametrize("lo, hi, steps", [
+        (10.0, 25.0, 2500), (-0.1, 0.1, 1025), (0.05, 1e308, 3000), (0.0, 5e-324, 3), (0.0, 1e-320, 4097),
+    ])
+    def test_block_values_are_the_linspace_values(self, lo, hi, steps):
+        blocks = [cli._sweep_values(lo, hi, steps, start, min(start + cli.SWEEP_BLOCK, steps))
+                  for start in range(0, steps, cli.SWEEP_BLOCK)]
+        expected = np.linspace(lo, hi, steps)
+        assert np.concatenate(blocks).tobytes() == expected.tobytes()
+
+    def test_memory_does_not_grow_with_the_rows(self, tmp_path):
+        # Rows are written a block at a time, so a sweep 10x longer peaks
+        # at the same resident memory, in a fresh process each.
+        peaks = []
+        for steps in (10**4, 10**5):
+            argv = ["sweep", "--d", "0.1", "--x", "0.4", "--w", "0.5", "--n", "1", "--alpha", "0.05",
+                    "--beta", "0.1", "--gamma", "0.2", "--r_d", "0.3", "--r_s", "0.2",
+                    "--param", "zeta", f"--range=10:25:{steps}", "--out", str(tmp_path / "sweep.csv")]
+            done = _fresh_main(argv, "import resource\ncode = main(sys.argv[1:])\n"
+                               "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\nsys.exit(code)")
+            assert done.returncode == 0, done.stderr
+            assert (tmp_path / "sweep.csv").read_text().count("\n") == steps + 1
+            peaks.append(int(done.stdout) / 1024)
+        assert peaks[1] - peaks[0] <= 8.0, peaks
+
     def test_range_validation(self):
         with pytest.raises(ConfigError):
             run_sweep(FIG1_VALUES, "zeta", 10.0, 5.0, 10)
@@ -409,7 +454,7 @@ class TestSweep:
         assert code == 0
         assert len(parse_csv(out.read_text())) == 7
 
-    def test_sweep_into_a_failing_region_reports_its_first_failing_row(self, capsys, config_path):
+    def test_sweep_into_a_failing_region_reports_its_first_failing_row(self, capsys, tmp_path, config_path):
         # alpha grows until the quartic's coefficients leave the doubles;
         # the sweep fails as analyze does at the first row that fails.
         failing = None
@@ -419,11 +464,33 @@ class TestSweep:
                 break
         message = capsys.readouterr().err
         assert failing is not None and failing > 0
-        code = main(["sweep", "--config", config_path, "--param", "alpha", "--range", "0.05:1e308:9"])
+        # The failure is in the first block, so nothing is written: not
+        # to stdout, and not to an existing --out file.
+        path = tmp_path / "sweep.csv"
+        path.write_text("an earlier sweep\n")
+        for out in ([], ["--out", str(path)]):
+            code = main(["sweep", "--config", config_path, "--param", "alpha", "--range", "0.05:1e308:9"] + out)
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.err == message
+            assert captured.out == ""
+        assert path.read_text() == "an earlier sweep\n"
+
+    def test_failure_in_a_later_block_follows_the_rows_before_it(self, capsys, config_path):
+        # Row 1049 is the first whose welfare maximum falls below the
+        # welfare of P*. The first block's 1024 rows are written as they
+        # are ready; the sweep then exits 2 with analyze's error at row 1049.
+        values = np.linspace(0.05, 3.5e27, 2048).tolist()
+        assert main(["analyze", "--config", config_path, "--alpha", repr(values[1049])]) == 2
+        message = capsys.readouterr().err
+        code = main(["sweep", "--config", config_path, "--param", "alpha", "--range", "0.05:3.5e27:2048"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err == message
-        assert captured.out == ""
+        expected = io.StringIO()
+        emit_csv([run_single(build_params(dict(FIG1_VALUES, alpha=v)), value=v)
+                  for v in values[:cli.SWEEP_BLOCK]], expected)
+        assert captured.out == expected.getvalue()
 
     def test_missing_base_parameter_exit_code(self, capsys):
         code = main(["sweep", "--d", "0.1", "--x", "0.4", "--w", "0.5", "--n", "1",
@@ -478,15 +545,21 @@ class TestSubcommandFlags:
         assert captured.out == ""
 
 
+def _fresh_main(argv, code="sys.exit(main(sys.argv[1:]))"):
+    """Run ``code`` with ``main`` imported from this checkout's sources, in
+    a fresh interpreter, on the arguments ``argv``."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    return subprocess.run(
+        [sys.executable, "-c", f"import sys\nfrom advisorgame.cli import main\n{code}"] + argv,
+        env=env, capture_output=True, text=True, timeout=120)
+
+
 class TestParserReuse:
     def test_output_after_failed_calls_matches_a_fresh_process(self, capsys, tmp_path, config_path):
         argv = ["analyze", "--config", config_path]
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
-        fresh = subprocess.run(
-            [sys.executable, "-c", "import sys; from advisorgame.cli import main; sys.exit(main(sys.argv[1:]))"]
-            + argv, env=env, capture_output=True, text=True, timeout=120)
+        fresh = _fresh_main(argv)
         assert fresh.returncode == 0, fresh.stderr
         with pytest.raises(SystemExit):
             main(["analyze", "--no-such-flag"])
@@ -577,15 +650,20 @@ class TestOracleCheck:
             assert captured.out == ""
         assert not path.exists()
 
-    def test_grid_over_budget_exit_code(self, capsys, config_path):
+    def test_grid_over_budget_exit_code(self, capsys, tmp_path, config_path):
         # The finest resolution on the full [0, 1] axis exceeds the point
-        # budget; the check fails before the 2-D grid is allocated.
-        code = main(["oracle-check", "--config", config_path, "--d", "0",
-                     "--grid-resolution", "1e-4"])
-        assert code == 1
-        captured = capsys.readouterr()
-        assert "budget" in captured.err
-        assert captured.out == ""
+        # budget; the check fails before the 2-D grid is allocated, and
+        # before --out is opened, so an existing file keeps its bytes.
+        path = tmp_path / "oracle.txt"
+        path.write_text("[PASS] an earlier report\n")
+        for out in ([], ["--out", str(path)]):
+            code = main(["oracle-check", "--config", config_path, "--d", "0",
+                         "--grid-resolution", "1e-4"] + out)
+            assert code == 1
+            captured = capsys.readouterr()
+            assert "budget" in captured.err
+            assert captured.out == ""
+        assert path.read_text() == "[PASS] an earlier report\n"
 
 
 # Weights over the whole decade range of positive doubles, subnormals
