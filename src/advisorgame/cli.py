@@ -304,17 +304,22 @@ def parse_csv(text: str) -> list:
     return rows
 
 
-def emit_json(rows, stream) -> None:
-    """One JSON object per row, keys in ``COLUMNS`` order; a number that
-    is not finite is written as null."""
-    lines = []
-    for row in rows:
-        obj = {}
-        for key in COLUMNS:
-            v = row[key]
-            obj[key] = None if isinstance(v, float) and not math.isfinite(v) else v
-        lines.append(json.dumps(obj) + "\n")
-    stream.write("".join(lines))
+def emit_json(columns: list, stream) -> None:
+    """One JSON object per row of a block of columns, keys in ``COLUMNS``
+    order, each cell formatted a column at a time as ``json.dumps`` would
+    write it: a number as its repr, a boolean as true or false, a text
+    quoted, and an absent value, or a number that is not finite, as null."""
+    cells = []
+    for key, column in zip(COLUMNS, columns):
+        name = f'"{key}": '
+        if key in _TEXT_COLUMNS:
+            cells.append([name + ("null" if v is None else json.dumps(v)) for v in column])
+        elif key in _BOOL_COLUMNS:
+            cells.append([name + ("null" if v is None else "true" if v else "false") for v in column])
+        else:
+            cells.append([name + (repr(v) if v is not None and math.isfinite(v) else "null")
+                          for v in column])
+    stream.write("".join(["{" + ", ".join(row) + "}\n" for row in zip(*cells)]))
 
 
 def _output(path):
@@ -402,7 +407,7 @@ def _write(blocks, output_format: str, path) -> None:
             stream.write(HEADER)
         while block is not None:
             if output_format == "json":
-                emit_json(_rows(block), stream)
+                emit_json(block, stream)
             else:
                 stream.write(_csv_lines(block))
             block = next(blocks, None)

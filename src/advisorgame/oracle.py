@@ -24,10 +24,9 @@ from .model import (
 from .params import EPS_DEN, HeterogeneousParams, ModelParams, OpinionProfile
 
 MAX_GRID_POINTS = 100_000_000
-# Columns of the s axis per block of the homogeneous grid. Per oracle pool
-# point at 5e-4, 1e-3 and 1e-4, 16 columns were 3-23% slower and 64 from 8%
-# faster to 14% slower (2-vCPU host); much wider blocks fall out of cache.
-GRID_BLOCK = 32
+# Cells per pass over whole columns of the homogeneous grid; bounds its
+# temporaries where every row of many columns is evaluated.
+GRID_PASS = 1 << 14
 # Cells of one (deviation x customer) array in the Nash deviation check.
 DEVIATION_CELLS = 1 << 16
 HETERO_MAX_N = 3
@@ -73,16 +72,18 @@ def _axis(lo: float, hi: float, step: float) -> np.ndarray:
 
 def _one_coordinate_terms(p: ModelParams, axis: np.ndarray):
     """The welfare terms of the grid that depend on s or on c alone, and
-    the rounding slack of the row bounds, or None when they are not used.
+    the rounding slack of the column tops and windows, or None when they
+    are not used.
 
     Returns ``(s_term, c_term, slack)`` with s_term = -alpha (s - x)^2 and
     c_term = beta n (w - c)^2 over ``axis``. Every intermediate of a cell
     is at most ``scale`` in magnitude, so each of its roughly ten roundings
     errs by at most about 1.1e-16 * scale, and slack = 1e-12 * scale
-    leaves a margin of about 1 000x over their sum. The bounds are unused,
-    and every row is evaluated, unless 1e-300 < scale < 1e300: above,
-    cells may overflow to inf or NaN; below, a subnormal intermediate errs
-    by up to 2.5e-324 whatever its size, which the slack no longer covers.
+    leaves a margin of about 1 000x over their sum. The tops and windows
+    are unused, and every cell is evaluated, unless 1e-300 < scale <
+    1e300: above, cells may overflow to inf or NaN; below, a subnormal
+    intermediate errs by up to 2.5e-324 whatever its size, which the
+    slack no longer covers.
     """
     s_term = -p.alpha * (axis - p.x) ** 2
     c_term = p.beta * p.n * (p.w - axis) ** 2
@@ -98,130 +99,66 @@ def _one_coordinate_terms(p: ModelParams, axis: np.ndarray):
     return s_term, c_term, slack
 
 
-def _row_bounds(p: ModelParams, s_term, c_term, c_gap, s_gap, axis, j0: int, j1: int, rows: int,
-                slack: float):
-    """Upper bound on the rounded welfare of every feasible cell of each
-    row c_i (i < rows) over the columns j0 <= j < j1 of the grid:
+def _column_tops(p: ModelParams, s_term, axis, slack: float):
+    """Upper bound on the rounded welfare of the feasible cells (rows
+    i <= j) of every column j, and its vertex row: the first row at or
+    above the vertex of the column's quadratic.
 
-        U_i = max_j s_term_j - c_term_i
-              - (gamma + zeta) n max(0, s_j0 - c_i)^2 + n R_i + slack.
+    Where s_j - d > EPS_DEN, each cell is within ``slack`` of f_j(c_i),
+    for the concave quadratic
 
-    ``c_gap`` and ``s_gap`` are the grid's arrays (c - d, and s - d with 1
-    on the columns s - d <= EPS_DEN); a cell's return is
-    r_d + frac (r_s - r_d) with frac = c_gap_i / s_gap_j.
+        f_j(c) = s_term_j + n (r_d + k_j (c - d)) - beta n (w - c)^2
+                 - (gamma + zeta) n (s_j - c)^2,   k_j = (r_s - r_d) / (s_j - d),
 
-    When r_s < r_d, R_i = r_d + f_i (r_s - r_d) with
-    f_i = min(1, c_gap_i / s_gap_{j1-1}), and f_i is at most the frac of
-    every feasible cell of row i in the block: s_gap_j <= s_gap_{j1-1} on
-    the columns s - d > EPS_DEN, and rounded division by a larger divisor
-    is no larger; the c = s override sets frac = 1 >= f_i; and a column
-    s - d <= EPS_DEN, where frac = 0 off the diagonal, is the s = d column
-    or the last of a two-point axis [d, 1] (the axis steps by at least
-    1e-4), so its only feasible row off the diagonal is c = d, where c_gap
-    is exactly 0. n R_i is computed in the cell's order (times r_s - r_d,
-    plus r_d, times n), so by monotone rounding it is no smaller than the
-    cell's return term; the cell's -zeta (s - c)^2 only lowers that.
+    as the c = s override sets frac = 1 only on the diagonal, where the
+    quotient is 1 already. The top is +inf on the other columns (s = d,
+    and the last of a two-point axis [d, 1]) and wherever it is not finite.
 
-    When r_s >= r_d, R_i = max(r_d, r_s): a feasible cell has frac <= 1,
-    since c <= s gives c - d <= s - d.
-
-    Every s of the block is at least s_j0, so s - c >= max(0, s_j0 - c_i)
-    and the penalty -(gamma + zeta) n (s - c)^2 is at most the bound's;
-    rounding is monotone, so the cell's square is no smaller than the
-    bound's. ``slack`` covers the remaining roundings (see
-    _one_coordinate_terms).
+    f_j lies below its tangent at any c, which on [d, s_j] is largest at
+    an end. So the top is f_j(c) + max(f_j'(c) (d - c), f_j'(c) (s_j - c))
+    + 2 slack, at c the vertex clamped to [d, s_j], where it is tight; one
+    slack covers the cells, the other the top's own roundings. Every
+    intermediate is at most 4 scale in magnitude (see
+    _one_coordinate_terms): |n k_j (c - d)| <= n |r_s - r_d|; (w - c)^2
+    and |w - c| |c - d| are at most twice the larger (w - c)^2 at c = d
+    and c = s_j; and |s_j - c| <= 1. So the roughly 20 roundings err by
+    at most about 1e-14 scale, which the slack covers some 100 times.
     """
-    short = axis[j0] - axis[:rows]
-    np.maximum(short, 0.0, out=short)
-    penalty = np.multiply(np.square(short, out=short), (p.gamma + p.zeta) * p.n, out=short)
-    if p.r_s < p.r_d:
-        ret = np.minimum(c_gap[:rows] / s_gap[j1 - 1], 1.0)
-        ret *= p.r_s - p.r_d
-        ret += p.r_d
-        ret *= p.n
-        ret += slack
-    else:
-        ret = p.n * max(p.r_d, p.r_s) + slack
-    bound = (np.max(s_term[j0:j1]) + ret) - c_term[:rows]
-    bound -= penalty
-    return bound
-
-
-def _block_tops(p: ModelParams, s_term, s_gap, axis, starts, ends, slack: float):
-    """Upper bound on the _row_bounds of every block at once, in closed form.
-
-    Block b has the columns j0 = starts[b] <= j < j1 = ends[b] and the
-    rows i < j1. Up to rounding, its row bound at c_i is g(c_i) for the
-    real function on [d, c_last], c_last = c_{j1-1} = s_{j1-1},
-
-        g(c) = S_b + slack + n R(c) - beta n (w - c)^2
-               - (gamma + zeta) n max(0, s_j0 - c)^2,
-
-    where S_b is the block's max of s_term, R(c) = r_d + k (c - d) with
-    k = (r_s - r_d) / s_gap_{j1-1} when r_s < r_d, and R = max(r_d, r_s),
-    k = 0, otherwise.
-
-    R is linear because the min(1, .) of _row_bounds never binds on these
-    rows. The rows stop at the block's last column (see _grid_homogeneous),
-    and c_gap, rounded from an increasing axis, does not decrease, so each
-    row has c_gap_i <= c_gap_{j1-1}. If s - d > EPS_DEN at column
-    j1 - 1, then s_gap_{j1-1} = c_gap_{j1-1}, and rounded division by a
-    divisor no smaller than the dividend is at most 1; otherwise
-    s_gap_{j1-1} = 1 > EPS_DEN >= c_gap_i.
-
-    g is concave, as max(0, .)^2 is convex, so g lies below its tangent
-    at any c of [d, c_last], and there the tangent is largest at an end:
-    the top is g(c) + max(g'(c) (d - c), g'(c) (c_last - c)) + slack,
-    wherever c lies. It is tight at g's maximizer: g'(s_j0) has the sign
-    of both pieces' vertices minus s_j0, so the maximizer is the vertex
-    of the piece c >= s_j0 when the vertex of the piece c <= s_j0 is not
-    below s_j0, and that vertex otherwise, clamped to [d, c_last].
-
-    Every intermediate here and in _row_bounds is at most 4 scale in
-    magnitude (see _one_coordinate_terms): |n k (c - d)| <= n |r_s - r_d|,
-    as c - d <= s_gap_{j1-1}; (w - c)^2 and |w - c| |c_last - c| are at
-    most twice the larger (w - c)^2 of the grid points d and c_last; and
-    |s_j0 - c| <= 1. So the roughly 20 roundings of a top and 15 of a row
-    bound err by at most about 1.6e-14 scale, which the second slack
-    covers some 60 times. Where beta n nears overflow a top may not be
-    finite; the caller reads it as +inf.
-    """
-    lo, hi, s0 = p.d, axis[ends - 1], axis[starts]
     bn, gn = p.beta * p.n, (p.gamma + p.zeta) * p.n
-    if p.r_s < p.r_d:
-        k, r = (p.r_s - p.r_d) / s_gap[ends - 1], p.r_d
-    else:
-        k, r = 0.0, max(p.r_d, p.r_s)
-    with np.errstate(over="ignore", invalid="ignore"):
-        below = (0.5 * k + p.beta * p.w + (p.gamma + p.zeta) * s0) / (p.beta + p.gamma + p.zeta)
-        c = np.clip(np.where(below >= s0, p.w + 0.5 * k / p.beta, below), lo, hi)
-        short = np.maximum(s0 - c, 0.0)
-        value = np.maximum.reduceat(s_term, starts) + slack + p.n * (r + k * (c - lo))
-        value -= bn * np.square(p.w - c) + gn * np.square(short)
-        slope = p.n * k + 2.0 * (bn * (p.w - c) + gn * short)
-        value += np.maximum(slope * (lo - c), slope * (hi - c))
-    return value + slack
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        k = (p.r_s - p.r_d) / (axis - p.d)
+        c = (0.5 * k + p.beta * p.w + (p.gamma + p.zeta) * axis) / (p.beta + p.gamma + p.zeta)
+        # fmax and fmin take d for a NaN vertex, so every row is at most j.
+        c = np.fmin(np.fmax(c, p.d), axis)
+        value = s_term + slack + p.n * (p.r_d + k * (c - p.d))
+        value -= bn * np.square(p.w - c) + gn * np.square(axis - c)
+        k *= p.n  # the slope, in place
+        k += 2.0 * (bn * (p.w - c) + gn * (axis - c))
+        value += np.maximum(k * (p.d - c), k * (axis - c))
+    value += slack
+    value[~np.isfinite(value) | (axis - p.d <= EPS_DEN)] = np.inf
+    return value, np.searchsorted(axis, c)
 
 
-def _cells(p: ModelParams, s_term, c_term, c_gap, s_gap, axis, j0: int, j1: int, lo: int,
-           rows: int):
-    """The rounded welfare of the grid cells c_i x s_j, lo <= i < rows and
-    j0 <= j < j1, and -inf off the feasible set c <= s + 1e-15.
+def _cells(p: ModelParams, s_term, c_term, axis, rows, cols):
+    """The rounded welfare of the grid cells (c_rows, s_cols), for index
+    arrays that broadcast together, and -inf off the feasible set
+    c <= s + 1e-15.
 
     Every cell is computed with the same operations, in the same order,
-    as the dense s x c array, so each value is bit-identical to it. The
-    arguments are the grid's (see _row_bounds).
+    as the dense s x c array, so each value is bit-identical to it.
     """
-    s = axis[j0:j1]
-    # Rows below ``near`` lie more than 1e-14 below every s of the
-    # block, so neither the c = s test nor the mask can hold there.
-    near = max(int(np.searchsorted(axis, s[0] - 1e-14)) - lo, 0)
-    c = axis[lo:rows, None]
+    c, s = axis[rows], axis[cols]
+    off = c > s + 1e-15
+    gap = s - p.d
+    gap[gap <= EPS_DEN] = np.inf  # so frac is 0 there, as in the dense array
+    frac = (c - p.d) / gap
     s_c = s - c
-    frac = c_gap[lo:rows, None] / s_gap[j0:j1]
-    frac[:, c_gap[j0:j1] <= EPS_DEN] = 0.0
+    # The seeds gather a row and a column for every column of the grid;
+    # dropping them here keeps at most five such arrays alive.
+    del c, s, gap
     # At c = s the interpolated return is exactly r_s, also in the s -> d corner.
-    frac[near:][np.abs(s_c[near:]) <= 1e-15] = 1.0
+    frac[np.abs(s_c) <= 1e-15] = 1.0
     # In place from here on; + and * commute exactly, so each line is
     # the dense expression's operation on the same operands.
     sq = np.square(s_c, out=s_c)
@@ -229,12 +166,26 @@ def _cells(p: ModelParams, s_term, c_term, c_gap, s_gap, axis, j0: int, j1: int,
     frac += p.r_d
     penalty = p.zeta * sq
     frac -= penalty  # u_cl = r_d + frac (r_s - r_d) - zeta (s - c)^2
-    sw = s_term[j0:j1] - c_term[lo:rows, None]
-    sw -= np.multiply(sq, p.gamma * p.n, out=penalty)  # u_a
+    sw = np.subtract(s_term[cols], c_term[rows], out=penalty)
+    sw -= np.multiply(sq, p.gamma * p.n, out=sq)  # u_a
     frac *= p.n
     sw += frac  # u_a + n u_cl
-    sw[near:][c[near:] > s + 1e-15] = -np.inf
+    sw[off] = -np.inf
     return sw
+
+
+def _first_max(sw, rows, cols, width: int):
+    """The dense argmax among the cells ``sw`` at the grid indices
+    (rows, cols), which broadcast to its shape, as (value, row, column):
+    a NaN first, else the largest value; ties go to the smallest c index,
+    then to the smallest s index, as in C order."""
+    tied = np.isnan(sw)
+    if not tied.any():
+        tied = sw == np.max(sw)
+    at = np.unravel_index(np.flatnonzero(tied), sw.shape)
+    i, j = np.broadcast_to(rows, sw.shape)[at], np.broadcast_to(cols, sw.shape)[at]
+    k = int(np.argmin(i * width + j))
+    return sw[at][k], i[k], j[k]
 
 
 def _grid_homogeneous(p: ModelParams, res: float):
@@ -244,96 +195,65 @@ def _grid_homogeneous(p: ModelParams, res: float):
     c_i with identical coefficients, so its maximizer over the customers
     is always symmetric; the 2-D slice therefore contains the optimum.
 
-    The s axis is streamed in blocks of ``GRID_BLOCK`` columns, and each
-    block evaluates only the rows that can satisfy c <= s, so memory is
-    set by the block width, not by the grid. Every cell is computed with
-    the same operations, in the same order, as the dense s x c array, and
-    the winner is the dense array's first maximum in C order (smallest c
-    index, then smallest s index), so profile and value are bit-identical.
+    Profile and value are the dense s x c array's, bit for bit: each cell
+    is computed with the dense operations (_cells), and the winner is the
+    dense argmax (_first_max). Column j's feasible cells are its rows
+    i <= j: the axis steps by at least 1e-4, and _axis appends its last
+    point 1 only when the point before lies below fl(1 - 1e-15) =
+    1 - 9 ulp; adding 1e-15 (9.007 ulp) to a point at least 10 ulp below
+    1 rounds below 1, so every later row lies above s_j + 1e-15.
 
-    Each row of a block has an upper bound on its cells (_row_bounds).
-    When r_s < r_d, a row's return term is bounded through its smallest
-    interpolation fraction in the block rather than by n max(r_d, r_s),
-    which only the c = d row reaches; most blocks then fall below the best
-    cell and are never evaluated. Blocks are visited in descending order
-    of a top that bounds all their row bounds, computed for every block at
-    once in closed form (_block_tops); a top that is not finite counts as
-    +inf. The visit stops at the first top below the best cell value found
-    so far. A visited block computes its row bounds and evaluates only the
-    contiguous range of rows whose bound reaches that value, and none when
-    no row does. A skipped row's cells all lie below a cell already found,
-    so none of them can be the dense argmax or tie with it, and the
-    per-block bests, put back in block order, give the dense winner. When
-    the bounds are unused (see _one_coordinate_terms) every row of every
-    block is evaluated.
-
-    The first block visited would meet an incumbent of -inf and evaluate
-    all its rows, so its row with the largest bound is evaluated first
-    (_cells, over the block's columns), and its best cell seeds the
-    incumbent before the block's rows are pruned. The seed is the value of
-    a real feasible cell: row r < j1 has c_r <= c_{j1-1} = s_{j1-1}, so
-    its cell at column j1 - 1 is feasible, and it is finite wherever the
-    bounds are used. So the seed is at most the dense maximum, and a row
-    pruned by bound < seed has every cell below that maximum; the rows
-    kept by bound >= seed include every row that reaches or ties it.
+    Only cells below a cell already evaluated are skipped, so none can be
+    the argmax or tie with it. Column by column (see _column_tops):
+    - seed: the cell at the vertex row; the columns whose top lies below
+      the best seed are skipped;
+    - window: the five rows around the vertex row. The column's cells are
+      values of a concave quadratic, within ``slack``: if the lowest two
+      rise by more than 2 slack, so does the quadratic, so every lower row
+      is at most the lowest + 2 slack, below the second lowest, and is
+      skipped; the same holds above. Columns of up to five rows, among
+      them the two without a quadratic, need no such test;
+    - whole: each column that fails the test and whose top reaches the
+      best cell, in passes of at most GRID_PASS cells.
+    The vertex is only a hint: a wrong one costs time, never the answer.
+    Without a slack (see _one_coordinate_terms) every column is whole.
     """
     axis = _axis(p.d, 1.0, res)  # both the s and the c axis
     count = len(axis) * len(axis)
     if count > MAX_GRID_POINTS:
         raise GridTooLarge(f"{count} grid points exceed the {MAX_GRID_POINTS} budget")
 
-    # Terms that depend on one coordinate only, computed once; c - d and
-    # s - d are the same vector because the axes coincide.
+    # Terms that depend on one coordinate only, computed once.
     s_term, c_term, slack = _one_coordinate_terms(p, axis)
-    c_gap = axis - p.d
-    s_gap = np.where(c_gap > EPS_DEN, c_gap, 1.0)
+    found = []  # the winner of each pass
 
-    starts = np.arange(0, len(axis), GRID_BLOCK)
-    ends = np.minimum(starts + GRID_BLOCK, len(axis))
-    # A block's rows stop at its last column: every later row lies more
-    # than 1e-15 above every s of the block, so all its cells are masked
-    # out. The axis steps by at least 1e-4, and _axis appends its last
-    # point 1 only when the point before lies below fl(1 - 1e-15) =
-    # 1 - 9 ulp; adding 1e-15 (9.007 ulp) to a point at least 10 ulp
-    # below 1 rounds below 1.
-    order = range(len(starts))
+    def evaluate(rows, cols):
+        sw = _cells(p, s_term, c_term, axis, rows, cols)
+        found.append(_first_max(sw, rows, cols, len(axis)))
+        return sw
+
+    whole = np.arange(len(axis))
     if slack is not None:
-        tops = _block_tops(p, s_term, s_gap, axis, starts, ends, slack)
-        # A NaN would sort last, past the break below, and never be evaluated.
-        tops[~np.isfinite(tops)] = np.inf
-        order = np.argsort(np.negative(tops), kind="stable")
+        tops, hint = _column_tops(p, s_term, axis, slack)
+        best = np.max(evaluate(hint, whole))
+        # A NaN top compares below no cell, so its column is kept.
+        j = np.flatnonzero(~(tops < best))
+        lo = np.clip(hint[j] - 2, 0, np.maximum(j - 4, 0))
+        sw = evaluate(np.minimum(lo[:, None] + np.arange(5), j[:, None]), j[:, None])
+        best = max(best, np.max(sw))
+        # Rounding is monotone, so a computed difference above 2 slack
+        # means the exact one is.
+        below = (lo == 0) | (sw[:, 1] - sw[:, 0] > 2 * slack)
+        above = (lo + 4 >= j) | (sw[:, 3] - sw[:, 4] > 2 * slack)
+        whole = j[~((below & above) | (tops[j] < best))]
 
-    best_val = np.full(len(starts), -np.inf)
-    best_i = np.zeros(len(starts), dtype=int)
-    best_j = np.zeros(len(starts), dtype=int)
-    incumbent = -np.inf
-    for b in order:
-        j0, j1 = int(starts[b]), int(ends[b])
-        lo, rows = 0, j1
-        if slack is not None:
-            if tops[b] < incumbent:
-                break  # so are the tops of every block after it
-            bound = _row_bounds(p, s_term, c_term, c_gap, s_gap, axis, j0, j1, rows, slack)
-            if incumbent == -np.inf:  # the first block visited: seed the incumbent
-                seed = int(np.argmax(bound))
-                row = _cells(p, s_term, c_term, c_gap, s_gap, axis, j0, j1, seed, seed + 1)
-                incumbent = np.max(row)
-            keep = np.flatnonzero(bound >= incumbent)
-            if not keep.size:
-                continue  # its top reaches the incumbent, but none of its rows do
-            lo, rows = int(keep[0]), int(keep[-1]) + 1
-        sw = _cells(p, s_term, c_term, c_gap, s_gap, axis, j0, j1, lo, rows)
-        i, j = np.unravel_index(int(np.argmax(sw)), sw.shape)
-        best_val[b], best_i[b], best_j[b] = sw[i, j], lo + i, j0 + j
-        incumbent = max(incumbent, sw[i, j])
+    # A pass's rows stop at its last column, the largest: the columns ascend.
+    width = max(1, GRID_PASS // len(axis))
+    for k in range(0, len(whole), width):
+        evaluate(np.arange(whole[k : k + width][-1] + 1)[:, None], whole[k : k + width])
 
-    # The dense argmax: a NaN wins, else the largest value; ties go to
-    # the smallest c index, then to the earliest block.
-    top = best_val[np.argmax(best_val)]
-    tied = np.isnan(best_val) if np.isnan(top) else best_val == top
-    k = int(np.argmin(np.where(tied, best_i, len(axis))))
-    best = OpinionProfile.uniform(float(axis[best_i[k]]), float(axis[best_j[k]]), p.n)
-    return best, float(best_val[k])
+    value, i, j = _first_max(*map(np.array, zip(*found)), len(axis))
+    return OpinionProfile.uniform(float(axis[i]), float(axis[j]), p.n), float(value)
 
 
 def _grid_heterogeneous(p: HeterogeneousParams, res: float):

@@ -29,11 +29,13 @@ from advisorgame.cli import (
     ConfigError,
     build_params,
     emit_csv,
+    emit_json,
     main,
     parse_config,
     parse_csv,
     run_single,
     run_sweep,
+    sweep_blocks,
 )
 
 FIG1_CONFIG = """\
@@ -589,6 +591,24 @@ class TestSerialization:
         for row, back in zip(rows, reparsed):
             assert back["a"] == row["a"]  # exact double round-trip
             assert back["sw_max"] == row["sw_max"]
+
+    def test_json_lines_are_what_json_dumps_writes(self):
+        # emit_json formats a column at a time; each line must be json.dumps
+        # of the row, with null for a number that is not finite.
+        sweeps = [("zeta", 0.0, 25.0), ("r_s", -0.5, 1.5), ("n", 0.5, 3000.0)]
+        blocks = [b for param, lo, hi in sweeps for b in sweep_blocks(FIG1_VALUES, param, lo, hi, 40)]
+        odd = list(blocks[0])
+        odd[COLUMNS.index("pos")] = [math.nan, math.inf, -math.inf, 0.5] * 10
+        blocks.append(odd)
+        for block in blocks:
+            stream = io.StringIO()
+            emit_json(block, stream)
+            rows = [dict(zip(COLUMNS, row)) for row in zip(*block)]
+            assert stream.getvalue() == "".join(json.dumps(
+                {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in row.items()}
+            ) + "\n" for row in rows)
+        text = "".join(json.dumps(row) for block in blocks for row in zip(*block))
+        assert "error:" in text and "null" in text and "true" in text and "false" in text
 
 
 class TestOracleCheck:

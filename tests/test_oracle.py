@@ -29,14 +29,7 @@ from advisorgame import (
     total_utility,
 )
 from advisorgame import oracle
-from advisorgame.oracle import (
-    GRID_BLOCK,
-    _axis,
-    _block_tops,
-    _cells,
-    _one_coordinate_terms,
-    _row_bounds,
-)
+from advisorgame.oracle import _axis, _cells, _column_tops, _one_coordinate_terms
 
 from conftest import draw_domain_point, draw_params
 
@@ -139,27 +132,19 @@ def _dense_welfare(p, res):
 
 def _dense_grid(p, res):
     """The whole s x c welfare array at once, argmax in C order: the
-    reference the streamed grid must reproduce bit for bit."""
+    reference the grid must reproduce bit for bit, as (c, s, value)."""
     axis, sw = _dense_welfare(p, res)
     i, j = np.unravel_index(int(np.argmax(sw)), sw.shape)
-    return OpinionProfile.uniform(float(axis[i]), float(axis[j]), p.n), float(sw[i, j])
+    return float(axis[i]), float(axis[j]), float(sw[i, j])
 
 
 def _assert_matches_dense(p, res):
     point, value = grid_max_welfare(p, GridSpec(res))
-    ref_point, ref_value = _dense_grid(p, res)
-    assert point == ref_point
+    c, s, ref_value = _dense_grid(p, res)
+    # The profile's fields, as OpinionProfile's == compares them; building
+    # a second profile of 10^6 customers would take some 40 ms.
+    assert (point.c, point.s) == ((c,) * p.n, s)
     assert value == ref_value or (np.isnan(value) and np.isnan(ref_value))
-
-
-def _block_bounds(p, axis, j0, j1, rows):
-    """_row_bounds of one block, from the grid's one-coordinate terms and
-    its gap arrays: c - d, and s - d with 1 where s - d <= EPS_DEN."""
-    s_term, c_term, slack = _one_coordinate_terms(p, axis)
-    assert slack is not None
-    c_gap = axis - p.d
-    s_gap = np.where(c_gap > EPS_DEN, c_gap, 1.0)
-    return _row_bounds(p, s_term, c_term, c_gap, s_gap, axis, j0, j1, rows, slack)
 
 
 def _d_for_axis_length(length, res):
@@ -170,7 +155,7 @@ def _d_for_axis_length(length, res):
 
 
 def _return_bound_cases(fig1):
-    """Points and resolutions at the edges of the row bounds' return term."""
+    """Points and resolutions at the edges of the tops' return term."""
     # The last arange point lies 2e-15 below 1, so the appended s = 1
     # column has a row just over 1e-15 off the diagonal, outside the
     # c = s override, with a fraction just below 1.
@@ -183,35 +168,58 @@ def _return_bound_cases(fig1):
     cases += [(fig1.replace(d=near, r_d=0.9, r_s=0.1, zeta=0.05), 1 / 64),
               (fig1.replace(d=near, r_d=0.9, r_s=0.1, zeta=0.05, n=1000), 1 / 64),
               (fig1.replace(d=near, x=0.9, w=0.9, r_d=0.9, r_s=0.1, zeta=1e-3), 1 / 64)]
-    # r_s > r_d and r_s == r_d, where every row keeps n max(r_d, r_s).
+    # r_s > r_d and r_s == r_d.
     cases += [(fig1.replace(r_s=0.35), 1e-2), (fig1.replace(r_s=0.9, zeta=0.05), 1e-2),
               (fig1.replace(r_s=fig1.r_d), 1e-2), (fig1.replace(r_s=0.9, n=1000), 1e-3)]
-    # d close to 1: one block holds the s = d column and the last column,
-    # and at 1 - 5e-13 the axis is [d, 1] with both columns s - d <= EPS_DEN.
+    # d close to 1: the axis holds the s = d column and a few more, and at
+    # 1 - 5e-13 it is [d, 1] with both columns s - d <= EPS_DEN.
     for d in (0.97, 1.0 - 5e-13):
         cases += [(fig1.replace(d=d, x=1.0, w=1.0, r_d=0.9, r_s=0.1, zeta=1e-3), 1e-2),
                   (fig1.replace(d=d, r_s=0.9), 1e-2)]
     return cases
 
 
-# beta n is within 4 000x of overflow; (w - c)^2 <= 1.1e-5 over the three
-# blocks of the axis keeps the cells finite and the row bounds in use.
+# beta n is within 4 000x of overflow; (w - c)^2 <= 1.1e-5 over the axis
+# keeps the cells finite and the tops in use.
 NEAR_OVERFLOW = ModelParams(d=1 - 64e-4, x=0.5, w=1 - 32e-4, n=1, alpha=1.0, beta=5e304,
                             gamma=1.0, zeta=1.0, r_d=0.3, r_s=0.2)
 
 
-# The oracle pool point whose grid at 5e-4 evaluated the most cells
-# (120 160) and peaked highest in traced memory (1.96 MB) before the first
-# visited block seeded its incumbent.
+# An oracle pool point whose winner lies deep in the grid, at row 1 148 of
+# column 1 540 of 1 745 at 5e-4: the costliest pool point for a search
+# that bounds rows.
 WORST_POOL_POINT = ModelParams(
     d=0.12822061068860946, x=0.8596915313797533, w=0.8620050717056892, n=1,
     alpha=0.28564969197963364, beta=0.38823378091806743, gamma=0.0671867310409242,
     zeta=0.6356966613163162, r_d=0.6378962062165215, r_s=0.32986080565406506,
 )
 
+# Every value at these two points is a short dyadic fraction, so each cell
+# is exact. At PASS_TIE, row c = 30/64 has the best cell of the grid at
+# s = 31/64 and at 32/64; at SEED_TIE, rows c = 25/64 and 26/64 have it,
+# at s = 26/64 and 27/64.
+PASS_TIE = ModelParams(d=0.0, x=47 / 64, w=30 / 64, n=1, alpha=3.0, beta=128.0,
+                       gamma=15.5, zeta=15.5, r_d=0.5, r_s=0.5)
+SEED_TIE = ModelParams(d=0.0, x=73 / 128, w=23 / 64, n=1, alpha=0.5, beta=2.0,
+                       gamma=4.0, zeta=1.0, r_d=0.5, r_s=0.5)
 
-def _row_bound_cases(fig1):
-    """Seeded, fig1, tie, near-overflow and return-bound points with their
+# Weights near 1e-14 or 1e-15 against returns near 0.6 or 0.28: each
+# column is flat within the slack, and its cells differ by their roundings
+# alone. A window test that took any rise or fall of its cells for the
+# quadratic's would miss the winner at both, at the second already when
+# only its lower rows were tested so.
+FLAT = (
+    ModelParams(d=0.0, x=0.9, w=0.1, n=1, alpha=1e-14, beta=1e-14, gamma=1e-14,
+                zeta=1e-14, r_d=0.6, r_s=0.6),
+    ModelParams(d=0.0, x=0.2900122627528693, w=0.9274787497199863, n=1,
+                alpha=1.8544862565665403e-15, beta=2.0350294015654794e-15,
+                gamma=1.4968239958584489e-15, zeta=1.8627868053879904e-15,
+                r_d=0.2835996504844672, r_s=0.2835996504844662),
+)
+
+
+def _grid_cases(fig1):
+    """Seeded, fig1, tie, near-overflow and return-term points with their
     resolutions."""
     rng = np.random.default_rng(100)  # the 1e-2 draws of test_seeded_points
     cases = [(draw_params(rng, n=int(rng.choice([1, 3, 7, 1000]))), 1e-2) for _ in range(60)]
@@ -223,30 +231,39 @@ def _row_bound_cases(fig1):
     cases += [(base, 1 / 64), (base.replace(alpha=1.0, x=31.5 / 64), 1 / 64),
               (base.replace(beta=1.0, w=40.5 / 64), 1 / 64),
               (base.replace(x=0.6, w=0.5, alpha=2e-16, beta=3e-16, r_d=0.72, r_s=0.72), 1e-2)]
-    return cases + [(NEAR_OVERFLOW, 1e-4)] + _return_bound_cases(fig1)
+    cases += [(p, 1 / 64) for p in FLAT]
+    cases += [(PASS_TIE, 1 / 64), (SEED_TIE, 1 / 64), (NEAR_OVERFLOW, 1e-4)]
+    return cases + _return_bound_cases(fig1)
 
 
-def _tops_and_row_maxima(p, res):
-    """The closed-form top of every block of the grid, and the largest
-    _row_bounds of its rows, those up to its last column."""
-    axis = _axis(p.d, 1.0, res)
-    s_term, c_term, slack = _one_coordinate_terms(p, axis)
-    assert slack is not None
-    c_gap = axis - p.d
-    s_gap = np.where(c_gap > EPS_DEN, c_gap, 1.0)
-    starts = np.arange(0, len(axis), GRID_BLOCK)
-    ends = np.minimum(starts + GRID_BLOCK, len(axis))
-    # The grid stops a block's rows at its last column: every later row
-    # lies above the block's largest s + 1e-15, so all its cells are masked.
-    assert np.array_equal(np.searchsorted(axis, axis[ends - 1] + 1e-15, side="right"), ends)
-    tops = _block_tops(p, s_term, s_gap, axis, starts, ends, slack)
-    maxima = [np.max(_row_bounds(p, s_term, c_term, c_gap, s_gap, axis, j0, j1, j1, slack))
-              for j0, j1 in zip(starts.tolist(), ends.tolist())]
-    return tops, np.array(maxima)
+def _wide_weight_cases():
+    """Seeded points with weights spread over 10^-10..10^10 or
+    10^-40..10^40, n from 1 to 10^6, d at 0, near 1 or uniform, and
+    r_s = r_d on every tenth draw, at resolutions 1e-2 and 1/64."""
+    rng = np.random.default_rng(18)
+    cases = []
+    for k in range(80):
+        span = rng.choice([10.0, 40.0])
+        alpha, beta, gamma, zeta = 10.0 ** rng.uniform(-span, span, size=4)
+        d = rng.choice([0.0, 0.97, 1.0 - 5e-13, rng.uniform(0.0, 1.0)])
+        r_d, r_s = rng.uniform(0.0, 1.0, size=2)
+        p = ModelParams(d=d, x=rng.uniform(0.0, 1.0), w=rng.uniform(0.0, 1.0),
+                        n=int(rng.choice([1, 3, 1000, 10**6])), alpha=alpha, beta=beta,
+                        gamma=gamma, zeta=zeta, r_d=r_d, r_s=r_d if k % 10 == 0 else r_s)
+        cases.append((p, (1e-2, 1 / 64)[k % 2]))
+    return cases
+
+
+def _without_slack(monkeypatch):
+    """Make the grid evaluate every column whole, as where cells may overflow."""
+    def no_slack(p, axis):
+        return _one_coordinate_terms(p, axis)[:2] + (None,)
+
+    monkeypatch.setattr(oracle, "_one_coordinate_terms", no_slack)
 
 
 class TestBlockedGrid:
-    """The streamed grid against the dense s x c evaluation, with ==."""
+    """The column-by-column grid against the dense s x c evaluation, with ==."""
 
     @pytest.mark.parametrize("res, count", [(1e-2, 60), (1e-3, 24), (5e-4, 6)])
     def test_seeded_points(self, res, count):
@@ -267,15 +284,25 @@ class TestBlockedGrid:
         for _ in range(10):
             p = draw_params(rng)
             _assert_matches_dense(p.replace(r_s=p.r_d), 1e-2)
+        for p in FLAT:
+            _assert_matches_dense(p, 1 / 64)
 
-    @pytest.mark.parametrize(
-        "length", [GRID_BLOCK - 1, GRID_BLOCK, GRID_BLOCK + 1, 2 * GRID_BLOCK + 1]
-    )
-    def test_axis_length_at_block_edges(self, length):
+    def test_wide_weights_match_dense(self):
+        for p, res in _wide_weight_cases():
+            _assert_matches_dense(p, res)
+
+    @pytest.mark.parametrize("length", [31, 32, 33, 65])
+    def test_axis_length_at_block_edges(self, monkeypatch, length):
+        # Whole columns are evaluated in blocks of 32 here: the axis ends
+        # just before, at and just after a block edge.
         rng = np.random.default_rng(length)
-        for _ in range(5):
-            p = draw_params(rng)
-            _assert_matches_dense(p.replace(d=_d_for_axis_length(length, 1e-2)), 1e-2)
+        points = [draw_params(rng).replace(d=_d_for_axis_length(length, 1e-2)) for _ in range(5)]
+        for p in points:
+            _assert_matches_dense(p, 1e-2)
+        monkeypatch.setattr(oracle, "GRID_PASS", 32 * length)
+        _without_slack(monkeypatch)
+        for p in points:
+            _assert_matches_dense(p, 1e-2)
 
     def test_ties_take_the_first_cell_in_c_order(self):
         res = 1.0 / 64  # the axis k / 64 and the midpoints below are exact
@@ -285,7 +312,7 @@ class TestBlockedGrid:
         point, _ = grid_max_welfare(base, GridSpec(res))
         assert point == OpinionProfile.uniform(0.0, 0.0, 1)
         _assert_matches_dense(base, res)
-        # s = 31/64 and 32/64 tie across the first block edge, in row 0.
+        # s = 31/64 and 32/64 tie in row 0.
         p = base.replace(alpha=1.0, x=31.5 / 64)
         point, _ = grid_max_welfare(p, GridSpec(res))
         assert point == OpinionProfile.uniform(0.0, 31 / 64, 1)
@@ -295,12 +322,14 @@ class TestBlockedGrid:
         point, _ = grid_max_welfare(p, GridSpec(res))
         assert point == OpinionProfile.uniform(40 / 64, 40 / 64, 1)
         _assert_matches_dense(p, res)
-        # Weights near one ulp of r_d round many cells to the same value.
-        # The first block's best has c index 15; the tied cell with the
-        # smallest c index (7) lies in a later block and must win.
+        # Weights near one ulp of r_d round many cells, over many rows and
+        # columns, to the same value; the winner has the smallest c index.
         p = base.replace(x=0.6, w=0.5, alpha=2e-16, beta=3e-16, r_d=0.72, r_s=0.72)
+        axis, sw = _dense_welfare(p, 1e-2)
+        rows, cols = np.nonzero(sw == np.max(sw))
+        assert len(set(rows.tolist())) > 5 and len(set(cols.tolist())) > 5
         point, _ = grid_max_welfare(p, GridSpec(1e-2))
-        assert point.s > _axis(p.d, 1.0, 1e-2)[GRID_BLOCK - 1]
+        assert point.c[0] == axis[rows.min()]
         _assert_matches_dense(p, 1e-2)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
@@ -320,18 +349,18 @@ class TestBlockedGrid:
                         gamma=1.0, zeta=1.0, r_d=0.3, r_s=0.2)
         assert _one_coordinate_terms(p, _axis(p.d, 1.0, 1.0 / 64))[2] is None
 
-        def no_bounds(*args):
-            raise AssertionError("row bounds used where cells may overflow")
+        def no_tops(*args):
+            raise AssertionError("column tops used where cells may overflow")
 
-        monkeypatch.setattr(oracle, "_row_bounds", no_bounds)
+        monkeypatch.setattr(oracle, "_column_tops", no_tops)
         point, value = grid_max_welfare(p, GridSpec(1.0 / 64))
         assert np.isnan(value)
         assert point == OpinionProfile.uniform(40 / 64, 40 / 64, 10)
 
     def test_subnormal_weights_take_the_unpruned_path(self):
         # Each rounding of a subnormal cell may err by a whole subnormal
-        # step, far beyond a slack of 1e-12 * scale; pruned by row bounds,
-        # this point's winner would be c = 14/64, not the dense 13/64.
+        # step, far beyond a slack of 1e-12 * scale, so no top or window
+        # test holds there.
         p = ModelParams(d=0.0, x=0.5078031207803458, w=0.1879227373491813, n=3,
                         alpha=1.155e-320, beta=2.17e-322, gamma=6e-323, zeta=1e-323,
                         r_d=0.0, r_s=0.0)
@@ -340,129 +369,113 @@ class TestBlockedGrid:
         assert point == OpinionProfile.uniform(13 / 64, 32 / 64, 3)
         _assert_matches_dense(p, 1.0 / 64)
 
-    def test_cells_lie_below_their_row_bounds(self, fig1):
-        for p, res in _row_bound_cases(fig1):
+    def test_column_tops_bound_their_cells(self, fig1):
+        for p, res in _grid_cases(fig1):
             axis, sw = _dense_welfare(p, res)
-            for j0 in range(0, len(axis), GRID_BLOCK):
-                j1 = min(j0 + GRID_BLOCK, len(axis))
-                bound = _block_bounds(p, axis, j0, j1, len(axis))
-                assert np.all(sw[:, j0:j1] <= bound[:, None])
+            s_term, _, slack = _one_coordinate_terms(p, axis)
+            assert slack is not None
+            tops, rows = _column_tops(p, s_term, axis, slack)
+            # The cells of rows i > j are -inf.
+            assert np.all(sw <= tops)
+            assert np.all((rows >= 0) & (rows <= np.arange(len(axis))))
 
     def test_return_bound_cases_match_dense(self, fig1):
         for p, res in _return_bound_cases(fig1):
             _assert_matches_dense(p, res)
 
-    def test_bounds_prune_all_but_the_winning_block(self, fig1, monkeypatch):
-        # r_s < r_d at fig1: each row's return is bounded through its
-        # smallest interpolation fraction in the block. With n max(r_d, r_s)
-        # instead, 23 of the 29 blocks reach the grid maximum.
-        axis = _axis(fig1.d, 1.0, 1e-3)
-        _, top = grid_max_welfare(fig1, GridSpec(1e-3))
-        tops = []
-        for j0 in range(0, len(axis), GRID_BLOCK):
-            j1 = min(j0 + GRID_BLOCK, len(axis))
-            tops.append(np.max(_block_bounds(fig1, axis, j0, j1, j1)))
-        assert len(tops) == 29
-        assert sum(t >= top for t in tops) <= 1
-        # So are the closed-form tops that order the blocks: only the
-        # first block visited computes its row bounds.
-        closed, _ = _tops_and_row_maxima(fig1, 1e-3)
-        assert np.sum(closed >= top) <= 1
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return _row_bounds(*args)
-
-        monkeypatch.setattr(oracle, "_row_bounds", counted)
-        assert grid_max_welfare(fig1, GridSpec(1e-3))[1] == top
-        assert len(calls) == 1
-
-    def test_block_tops_bound_their_row_bounds(self, fig1):
-        for p, res in _row_bound_cases(fig1):
-            tops, maxima = _tops_and_row_maxima(p, res)
-            assert np.all(tops >= maxima)
-
     def test_near_overflow_weights_match_dense(self):
         _assert_matches_dense(NEAR_OVERFLOW, 1e-4)
 
-    def test_blocks_without_a_winning_row_are_skipped(self, fig1, monkeypatch):
-        # Every block is visited, in block order; those after the winner
-        # reach the incumbent with their top but with none of their rows.
-        def no_tops(p, s_term, s_gap, axis, starts, ends, slack):
-            return np.full(len(starts), np.inf)
+    def test_infinite_tops_match_dense(self, fig1, monkeypatch):
+        # No column is skipped before its window: each window test decides
+        # alone which columns are evaluated whole.
+        def no_tops(p, s_term, axis, slack):
+            return np.full(len(axis), np.inf), _column_tops(p, s_term, axis, slack)[1]
 
-        monkeypatch.setattr(oracle, "_block_tops", no_tops)
-        for p, res in [(fig1, 1e-3), (fig1.replace(r_s=0.35, zeta=3.0), 1e-3)] + _return_bound_cases(fig1):
+        monkeypatch.setattr(oracle, "_column_tops", no_tops)
+        for p, res in _grid_cases(fig1):
+            _assert_matches_dense(p, res)
+
+    @pytest.mark.parametrize("row", ["first", "last"])
+    def test_vertex_row_is_only_a_hint(self, fig1, monkeypatch, row):
+        # Every vertex row forced to 0, or to j: the windows sit at an end
+        # of their columns, and the columns they cannot settle are
+        # evaluated whole.
+        def forced(p, s_term, axis, slack):
+            tops, rows = _column_tops(p, s_term, axis, slack)
+            return tops, np.zeros_like(rows) if row == "first" else np.arange(len(axis))
+
+        monkeypatch.setattr(oracle, "_column_tops", forced)
+        for p, res in _grid_cases(fig1) + _wide_weight_cases():
             _assert_matches_dense(p, res)
 
     def test_a_top_that_is_not_finite_is_evaluated(self, fig1, monkeypatch):
-        # Sorted as it is, a NaN top would come last, after the break.
+        # A NaN top compares below no cell, so its column gets a window.
         axis, sw = _dense_welfare(fig1, 1e-3)
-        winner = np.unravel_index(int(np.argmax(sw)), sw.shape)[1] // GRID_BLOCK
+        winner = np.unravel_index(int(np.argmax(sw)), sw.shape)[1]
+        windows = []
 
         def nan_at_winner(*args):
-            tops = _block_tops(*args)
+            tops, rows = _column_tops(*args)
             tops[winner] = np.nan
-            return tops
+            return tops, rows
 
-        monkeypatch.setattr(oracle, "_block_tops", nan_at_winner)
+        def recorded(p, s_term, c_term, axis, rows, cols):
+            if np.ndim(rows) == 2 and np.shape(rows)[1] == 5:
+                windows.extend(np.ravel(cols).tolist())
+            return _cells(p, s_term, c_term, axis, rows, cols)
+
+        monkeypatch.setattr(oracle, "_column_tops", nan_at_winner)
+        monkeypatch.setattr(oracle, "_cells", recorded)
         _assert_matches_dense(fig1, 1e-3)
+        assert winner in windows
 
-    def test_blocks_combine_in_block_order(self):
-        # Every value here is a short dyadic fraction, so each cell is
-        # exact. In row c = 30/64 the cells s = 31/64 and 32/64 tie as the
-        # best of the grid, on both sides of the first block edge. The
-        # second block has the larger row bound and is visited first, but
-        # the dense winner is the first block's cell.
-        p = ModelParams(d=0.0, x=47 / 64, w=30 / 64, n=1, alpha=3.0, beta=128.0,
-                        gamma=15.5, zeta=15.5, r_d=0.5, r_s=0.5)
-        axis = _axis(p.d, 1.0, 1.0 / 64)
-        first, second = (
-            np.max(_block_bounds(p, axis, j0, j0 + GRID_BLOCK, j0 + GRID_BLOCK))
-            for j0 in (0, GRID_BLOCK)
-        )
-        assert second > first
-        point, value = grid_max_welfare(p, GridSpec(1.0 / 64))
+    def test_blocks_combine_in_block_order(self, monkeypatch):
+        # The two best cells lie on both sides of a block edge when whole
+        # columns are evaluated in blocks of 32; the dense winner is the
+        # first block's.
+        res = 1.0 / 64
+        point, value = grid_max_welfare(PASS_TIE, GridSpec(res))
         assert point == OpinionProfile.uniform(30 / 64, 31 / 64, 1)
         assert value == 0.5 - 799 / 4096
-        _assert_matches_dense(p, 1.0 / 64)
+        monkeypatch.setattr(oracle, "GRID_PASS", 32 * 65)
+        _without_slack(monkeypatch)
+        assert grid_max_welfare(PASS_TIE, GridSpec(res)) == (point, value)
 
     def test_seed_row_need_not_hold_the_winner(self, monkeypatch):
-        # Every value here is a short dyadic fraction, so each cell is
-        # exact. Rows c = 25/64 and 26/64 tie as the best of the grid, at
-        # s = 26/64 and 27/64. The first block visited is block 0, and its
-        # row with the largest bound, which seeds the incumbent, is c = 23/64.
-        p = ModelParams(d=0.0, x=73 / 128, w=23 / 64, n=1, alpha=0.5, beta=2.0,
-                        gamma=4.0, zeta=1.0, r_d=0.5, r_s=0.5)
+        # The best seed is the tied cell c = 26/64 at s = 27/64; the dense
+        # winner, c = 25/64 at s = 26/64, is found by its column's window.
         res = 1.0 / 64
-        axis, sw = _dense_welfare(p, res)
+        axis, sw = _dense_welfare(SEED_TIE, res)
         rows, cols = np.nonzero(sw == np.max(sw))
         assert rows.tolist() == [25, 26] and cols.tolist() == [26, 27]
-        assert np.argmax(_tops_and_row_maxima(p, res)[0]) == 0
-        assert np.argmax(_block_bounds(p, axis, 0, GRID_BLOCK, GRID_BLOCK)) == 23
-        point, value = grid_max_welfare(p, GridSpec(res))
+        s_term, _, slack = _one_coordinate_terms(SEED_TIE, axis)
+        tops, hint = _column_tops(SEED_TIE, s_term, axis, slack)
+        seeds = sw[hint, np.arange(len(axis))]
+        assert (hint[np.argmax(seeds)], np.argmax(seeds)) == (26, 27)
+        point, value = grid_max_welfare(SEED_TIE, GridSpec(res))
         assert point == OpinionProfile.uniform(25 / 64, 26 / 64, 1)
         assert value == 0.5 - 545 / 32768
-        _assert_matches_dense(p, res)
+        _assert_matches_dense(SEED_TIE, res)
 
-        # The slack keeps every row bound above its row's cells, so no row
-        # bound equals the incumbent. With the tightest valid bounds, the
-        # row maxima, both tied rows' bounds equal it, and only pruning the
-        # rows with bound < incumbent keeps them.
-        def row_maxima(p, s_term, c_term, c_gap, s_gap, axis, j0, j1, rows, slack):
-            return np.max(sw[:rows, j0:j1], axis=1)
+        # The slack keeps every top above its column's cells, so no top
+        # equals the best cell. With the tightest valid tops, the column
+        # maxima, both tied columns' tops equal it, and only skipping the
+        # columns whose top is below it keeps them.
+        def column_maxima(p, s_term, axis, slack):
+            return np.max(sw, axis=0), _column_tops(p, s_term, axis, slack)[1]
 
-        monkeypatch.setattr(oracle, "_row_bounds", row_maxima)
-        assert grid_max_welfare(p, GridSpec(res)) == (point, value)
+        monkeypatch.setattr(oracle, "_column_tops", column_maxima)
+        assert grid_max_welfare(SEED_TIE, GridSpec(res)) == (point, value)
 
     @pytest.mark.parametrize(
         "point, res, most",
-        [("fig1", 1e-3, 64), ("fig1", 1e-4, 96), ("worst", 5e-4, 78_272)],
+        [("fig1", 1e-3, 911), ("fig1", 1e-4, 9011), ("worst", 5e-4, 1760)],
     )
-    def test_seeded_incumbent_bounds_the_cells_evaluated(self, fig1, monkeypatch, point, res, most):
-        # Before the seed, the first block visited evaluated every row:
-        # 1 024, 1 056 and 120 160 cells.
+    def test_best_seed_bounds_the_cells_evaluated(self, fig1, monkeypatch, point, res, most):
+        # One seed per column, then the windows of the two or three columns
+        # whose top reaches the best seed, and no column whole: at fig1,
+        # where r_s < r_d, the tops keep only the winning columns.
         p = fig1 if point == "fig1" else WORST_POOL_POINT
         expected = grid_max_welfare(p, GridSpec(res))
         cells = []
@@ -474,11 +487,12 @@ class TestBlockedGrid:
 
         monkeypatch.setattr(oracle, "_cells", counted)
         assert grid_max_welfare(p, GridSpec(res)) == expected
+        assert len(cells) == 2 and cells[0] == len(_axis(p.d, 1.0, res))
         assert sum(cells) <= most
 
     def test_finest_grid_memory_is_bounded(self, fig1):
-        # Traced peaks: 0.40 MB on fig1 at 1e-4 and 0.55 MB on the worst
-        # pool point, which peaked at 1.96 MB before the seed.
+        # Traced peaks: 0.80 MB on fig1 at 1e-4, set by the arrays of one
+        # entry per column, and 0.24 MB on the worst pool point.
         for p, res in [(fig1, 1e-4), (WORST_POOL_POINT, 5e-4)]:
             tracemalloc.start()
             try:
@@ -487,6 +501,20 @@ class TestBlockedGrid:
             finally:
                 tracemalloc.stop()
             assert peak < 1e6
+
+    def test_whole_column_passes_memory_is_bounded(self):
+        # Every cell of this 2 001 x 2 001 grid is evaluated, in passes of
+        # at most GRID_PASS cells: a traced peak of 0.81 MB.
+        p = ModelParams(d=0.0, x=0.5078031207803458, w=0.1879227373491813, n=3,
+                        alpha=1.155e-320, beta=2.17e-322, gamma=6e-323, zeta=1e-323,
+                        r_d=0.0, r_s=0.0)
+        tracemalloc.start()
+        try:
+            grid_max_welfare(p, GridSpec(5e-4))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3e6
 
 
 class TestDynamics:
