@@ -54,11 +54,10 @@ class ParamBatch:
     def __len__(self) -> int:
         return len(self.d)
 
-    def take(self, rows) -> "ParamBatch":
-        return ParamBatch(*(column[rows] for column in _FIELDS(self)))
-
-    def replace(self, **changes) -> "ParamBatch":
-        return ParamBatch(*(changes.get(name, getattr(self, name)) for name in _NAMES))
+    def take(self, rows, **changes) -> "ParamBatch":
+        """The rows ``rows``, with the columns named in ``changes`` replaced."""
+        return ParamBatch(*(changes[name] if name in changes else column[rows]
+                            for name, column in zip(_NAMES, _FIELDS(self))))
 
 
 class RowErrors:

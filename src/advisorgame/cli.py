@@ -50,6 +50,8 @@ COLUMNS = (
 )
 HEADER = ",".join(COLUMNS) + "\n"
 _BOOL_COLUMNS = ("star_admissible", "dagger_admissible")
+# The tokens of the flags column, in their order.
+_FLAG_TOKENS = ("Degenerate", "RegionGeometryDisagreement") + tuple(flag.value for flag in PosFlag)
 _TEXT_COLUMNS = ("sw_location", "flags")
 
 # Rows per kernel call in a sweep, and per write of its output; bounds the
@@ -130,18 +132,17 @@ def _analysis(P: ParamBatch, values: list) -> list:
         r_d_1, r_d_2 = report.equilibria.thresholds or threshold_arrays(P)
         check_thresholds(r_d_1, r_d_2, unequal, errors)
         single = (P.n == 1.0) & (P.x != P.d)
-        at = np.flatnonzero(single)
         zeta_bar = np.full(len(P), np.nan)
-        if at.size:
+        if np.count_nonzero(single):
+            at = np.flatnonzero(single)
             crit_errors = RowErrors()
             zeta_bar[at] = critical_zeta_arrays(P.take(at), crit_errors)[0]
             errors.merge(crit_errors, at)
     errors.raise_first()
 
     eq = report.equilibria
-    tokens = [(eq.degenerate, "Degenerate"), (eq.region & ~eq.agree, "RegionGeometryDisagreement")]
-    tokens += [(mask, flag.value) for mask, flag in zip(report.flags, PosFlag)]
-    marks = [[name if on else "" for on in mask.tolist()] for mask, name in tokens]
+    masks = [eq.degenerate, eq.region & ~eq.agree, *report.flags]
+    marks = [[name if on else "" for on in mask.tolist()] for mask, name in zip(masks, _FLAG_TOKENS)]
     return [
         values,
         eq.disc.tolist(),
@@ -361,7 +362,8 @@ def run_oracle_check(p: ModelParams, seed: int, resolution: float) -> tuple:
     return ok, "".join(lines)
 
 
-def make_parser() -> argparse.ArgumentParser:
+def _build_parsers() -> tuple:
+    """The top-level parser, and its command parsers by command name."""
     parser = argparse.ArgumentParser(prog="advisorgame")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -380,7 +382,11 @@ def make_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--range", required=True, dest="sweep_range", help="lo:hi:steps")
     oracle.add_argument("--seed", type=int, default=0, help="seed of the random Nash deviations (>= 0)")
     oracle.add_argument("--grid-resolution", type=float, default=1e-3, help="step of the welfare grid")
-    return parser
+    return parser, {"analyze": analyze, "sweep": sweep, "oracle-check": oracle}
+
+
+def make_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
 
 
 def _collect_values(args) -> dict:
@@ -392,8 +398,26 @@ def _collect_values(args) -> dict:
     return values
 
 
-# Built on the first main() call and reused: parse_args leaves it unchanged.
-_parser = functools.lru_cache(maxsize=None)(make_parser)
+# Built on the first main() call and reused: parsing leaves them unchanged.
+_parsers = functools.lru_cache(maxsize=None)(_build_parsers)
+
+
+def _parse_args(argv=None) -> argparse.Namespace:
+    """``make_parser().parse_args(argv)``. A named command's arguments go
+    straight to its parser, which the top-level parser would pass them to
+    after a scan of its own; anything else (no arguments, -h, an unknown
+    command, an argument before the command) and leftover arguments are
+    the top-level parser's to parse and report."""
+    parser, commands = _parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
 
 
 def _write(blocks, output_format: str, path) -> None:
@@ -414,7 +438,7 @@ def _write(blocks, output_format: str, path) -> None:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         values = _collect_values(args)
         if args.command == "oracle-check":

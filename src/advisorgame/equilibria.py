@@ -397,7 +397,7 @@ def critical_zeta_arrays(P: ParamBatch, errors: RowErrors):
     positive = zeta_bar > 0.0
     rows = np.flatnonzero(positive & (P.d < P.x) & np.isfinite(zeta_bar))
     if rows.size:
-        Q = P.take(rows).replace(zeta=zeta_bar[rows])
+        Q = P.take(rows, zeta=zeta_bar[rows])
         at_bar_errors = RowErrors()
         at_bar = equilibrium_arrays(Q, at_bar_errors)
         # alpha = gamma makes the discriminant at zeta_bar exactly zero;

@@ -101,16 +101,13 @@ def coefficient_arrays(P: ParamBatch) -> np.ndarray:
     y = s - d, one row per game."""
     gz = P.gamma + P.zeta
     bgz = P.beta + gz
-    return np.stack(
-        [
-            P.n * np.square(P.r_d - P.r_s),
-            2.0 * P.beta * P.n * (P.r_d - P.r_s) * (P.d - P.w),
-            np.zeros(len(P)),
-            4.0 * (P.beta * P.n * (P.d - P.w) * gz + P.alpha * (P.d - P.x) * bgz),
-            4.0 * (P.beta * P.n * gz + P.alpha * bgz),
-        ],
-        axis=1,
-    )
+    omega = np.empty((len(P), 5))
+    omega[:, 0] = P.n * np.square(P.r_d - P.r_s)
+    omega[:, 1] = 2.0 * P.beta * P.n * (P.r_d - P.r_s) * (P.d - P.w)
+    omega[:, 2] = 0.0
+    omega[:, 3] = 4.0 * (P.beta * P.n * (P.d - P.w) * gz + P.alpha * (P.d - P.x) * bgz)
+    omega[:, 4] = 4.0 * (P.beta * P.n * gz + P.alpha * bgz)
+    return omega
 
 
 def quartic_coefficients(p: ModelParams) -> Tuple[float, float, float, float, float]:
@@ -145,27 +142,30 @@ def root_arrays(omega: np.ndarray, errors: RowErrors) -> np.ndarray:
     """
     leading = omega[:, 4]
     tiny = np.abs(leading) <= 1e-300
-    errors.add(tiny, lambda i: DegenerateLeadingCoefficient(f"leading coefficient {leading[i].item()!r}"))
-    solvable = _check_finite(omega, errors) & ~tiny
     # The first row of the size-4 companion matrix, -omega_3 / omega_4 down
     # to -omega_0 / omega_4; a smaller matrix takes its first entries.
     top = -omega[:, 3::-1] / omega[:, 4:]
-    overflow = solvable & ~np.isfinite(top).all(axis=1)
-    errors.add(overflow, lambda i: NumericalContractError(
-        f"the companion matrix of the quartic coefficients {tuple(omega[i].tolist())!r} overflows"))
-    solvable &= ~overflow
-    roots = np.full((len(omega), 4), np.nan, dtype=complex)
-    trailing, sizes = np.zeros(len(omega), dtype=np.intp), [0]
-    if np.count_nonzero(omega[:, 0] == 0.0):
+    solvable = ~tiny & np.isfinite(omega).all(axis=1) & np.isfinite(top).all(axis=1)
+    roots = np.empty((len(omega), 4), dtype=complex)
+    # Usually every row is solvable with no trailing zero coefficient, and
+    # one slice stands for all the rows of the one matrix size.
+    groups = [(0, slice(None))]
+    if np.count_nonzero(solvable & (omega[:, 0] != 0.0)) < len(omega):
+        # A row keeps its first error, so the last call adds only overflows.
+        errors.add(tiny, lambda i: DegenerateLeadingCoefficient(f"leading coefficient {leading[i].item()!r}"))
+        _check_finite(omega, errors)
+        errors.add(~solvable, lambda i: NumericalContractError(
+            f"the companion matrix of the quartic coefficients {tuple(omega[i].tolist())!r} overflows"))
+        roots[:] = np.nan
         trailing = np.cumprod(omega[:, :4] == 0.0, axis=1).sum(axis=1)
-        sizes = np.unique(trailing).tolist()
-    for zeros in sizes:
-        rows = solvable & (trailing == zeros)
+        groups = [(zeros, solvable & (trailing == zeros)) for zeros in sorted(set(trailing.tolist()))]
+    for zeros, rows in groups:
         size = 4 - zeros
         roots[rows, size:] = 0.0
-        if size and np.count_nonzero(rows):
-            companion = np.zeros((np.count_nonzero(rows), size, size))
-            companion[:, 0, :] = top[rows, :size]
+        block = top[rows, :size]
+        if size and len(block):
+            companion = np.zeros((len(block), size, size))
+            companion[:, 0, :] = block
             below = np.arange(size - 1)
             companion[:, below + 1, below] = 1.0
             roots[rows, :size] = np.linalg.eigvals(companion)
@@ -322,6 +322,11 @@ def _stationary_customer(P: ParamBatch, s, ratio):
     return (2.0 * P.beta * P.w + 2.0 * gz * s + ratio) / (2.0 * P.beta + 2.0 * gz)
 
 
+def _unless_equal(P: ParamBatch, value, equal):
+    """``value``, with ``equal`` on the rows where r_s == r_d."""
+    return np.where(P.equal, equal, value) if P.any_equal else value
+
+
 class WelfareArrays(NamedTuple):
     """The welfare optimum and PoS bookkeeping of every row of a batch.
 
@@ -375,26 +380,28 @@ def welfare_arrays(P: ParamBatch, errors: RowErrors) -> WelfareArrays:
     # Slots 0-3: the quartic roots, each with its stationary customer.
     y = roots.real
     s_root = P.d + y
-    c_root = _stationary_customer(P, s_root, np.where(P.equal, 0.0, P.dr / (s_root - P.d)))
+    c_root = _stationary_customer(P, s_root, _unless_equal(P, P.dr / (s_root - P.d), 0.0))
     interior = (_near_real(roots) & (EPS_DEN < y) & (y <= 1.0 - P.d + 1e-15)
                 & (P.d < c_root) & (c_root < s_root))
     s_root = where_min(s_root, 1.0)
-    singular = interior & ~P.equal & (np.abs(s_root - P.d) <= EPS_DEN)
-    errors.add(singular.any(axis=0), lambda i: DegenerateDenominator(
-        f"s = {s_root[np.argmax(singular[:, i]), i].item()} is within {EPS_DEN} of d = {P.d[i].item()}"))
+    if np.count_nonzero(interior):
+        singular = _unless_equal(P, interior, False) & (np.abs(s_root - P.d) <= EPS_DEN)
+        errors.add(singular.any(axis=0), lambda i: DegenerateDenominator(
+            f"s = {s_root[np.argmax(singular[:, i]), i].item()} is within {EPS_DEN} of d = {P.d[i].item()}"))
 
     # Slot 4, face c = d; slot 5, face s = 1 (skipped when the domain
     # collapses to the corner d = 1); slot 6, face c = s.
     s_cd = where_min(where_max((P.alpha * P.x + gzn * P.d) / (P.alpha + gzn), P.d), 1.0)
-    slope = np.where(P.equal, 0.0, P.dr / (1.0 - P.d))
+    slope = _unless_equal(P, P.dr / (1.0 - P.d), 0.0)
     c_top = where_min(where_max(_stationary_customer(P, 1.0, slope), P.d), 1.0)
-    lo = np.where(P.equal, P.d, where_min(P.d + 1e-9, 1.0))
+    lo = _unless_equal(P, where_min(P.d + 1e-9, 1.0), P.d)
     s_cs = where_min(where_max((P.alpha * P.x + bn * P.w) / (P.alpha + bn), lo), 1.0)
 
     # Slots 7 and 8: the equilibria P* and P+.
     eq = equilibrium_arrays(P, errors)
-    c = np.concatenate([c_root, [P.d, c_top, s_cs], eq.c])
-    s = np.concatenate([s_root, [s_cd, np.ones(len(P)), s_cs], eq.roots])
+    c, s = np.empty((2, 9, len(P)))
+    c[:4], c[4], c[5], c[6], c[7:] = c_root, P.d, c_top, s_cs, eq.c
+    s[:4], s[4], s[5], s[6], s[7:] = s_root, s_cd, 1.0, s_cs, eq.roots
     # The interpolation term n (c - d) (r_s - r_d) / (s - d) is set exactly
     # on the faces: 0 on c = d, where s may equal d, and n (r_s - r_d) on
     # c = s.
@@ -405,7 +412,7 @@ def welfare_arrays(P: ParamBatch, errors: RowErrors) -> WelfareArrays:
         - bn * np.square(P.w - c)
         - gzn * np.square(s - c)
         + P.r_d * P.n
-        + np.where(P.equal, 0.0, ret)
+        + _unless_equal(P, ret, 0.0)
     )
 
     star_geo, dagger_geo = eq.geometric
@@ -424,15 +431,18 @@ def welfare_arrays(P: ParamBatch, errors: RowErrors) -> WelfareArrays:
     sw_max = value[winner, cols]
     sw_at_star, sw_at_dagger = value[7:]
 
-    # The maximum bounds the welfare of every admissible equilibrium.
-    for admissible, welfare, name in ((star_geo, sw_at_star, "P*"), (dagger_geo, sw_at_dagger, "P+")):
-        above = admissible & (welfare > sw_max + EQUILIBRIUM_WELFARE_TOL * np.maximum(1.0, np.abs(welfare)))
-        errors.add(above, lambda i, welfare=welfare, name=name: NumericalContractError(
-            f"welfare {welfare[i].item()!r} at {name} exceeds the maximum {sw_max[i].item()!r}"))
     negative = sw_max < 0.0
     flags = np.array([negative, ~star_geo & ~dagger_geo, ~negative & (np.abs(sw_max) <= POS_TIE_TOL)])
-    best = np.where(star_geo, np.where(dagger_geo, where_max(sw_at_star, sw_at_dagger), sw_at_star), sw_at_dagger)
-    pos = np.where(flags.any(axis=0), np.nan, best / sw_max)
+    pos = np.full(len(P), np.nan)
+    if np.count_nonzero(eq.geometric):
+        # The maximum bounds the welfare of every admissible equilibrium.
+        for admissible, welfare, name in ((star_geo, sw_at_star, "P*"), (dagger_geo, sw_at_dagger, "P+")):
+            above = admissible & (welfare > sw_max + EQUILIBRIUM_WELFARE_TOL * np.maximum(1.0, np.abs(welfare)))
+            errors.add(above, lambda i, welfare=welfare, name=name: NumericalContractError(
+                f"welfare {welfare[i].item()!r} at {name} exceeds the maximum {sw_max[i].item()!r}"))
+        best = np.where(star_geo, np.where(dagger_geo, where_max(sw_at_star, sw_at_dagger), sw_at_star),
+                        sw_at_dagger)
+        pos = np.where(flags.any(axis=0), np.nan, best / sw_max)
     return WelfareArrays(
         sw_max=sw_max,
         location=np.maximum(winner - 3, 0),

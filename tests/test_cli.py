@@ -547,15 +547,19 @@ class TestSubcommandFlags:
         assert captured.out == ""
 
 
+def _fresh(command, argv, **env_vars):
+    """Run the interpreter arguments ``command`` in a fresh interpreter that
+    imports this checkout's sources, on the arguments ``argv``."""
+    env = dict(os.environ, **env_vars)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    return subprocess.run([sys.executable, *command, *argv], env=env, capture_output=True, text=True, timeout=120)
+
+
 def _fresh_main(argv, code="sys.exit(main(sys.argv[1:]))"):
     """Run ``code`` with ``main`` imported from this checkout's sources, in
     a fresh interpreter, on the arguments ``argv``."""
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
-    return subprocess.run(
-        [sys.executable, "-c", f"import sys\nfrom advisorgame.cli import main\n{code}"] + argv,
-        env=env, capture_output=True, text=True, timeout=120)
+    return _fresh(["-c", f"import sys\nfrom advisorgame.cli import main\n{code}"], argv)
 
 
 class TestParserReuse:
@@ -571,6 +575,73 @@ class TestParserReuse:
         capsys.readouterr()
         assert main(argv) == 0
         assert capsys.readouterr().out == fresh.stdout
+
+
+FIG1_ARGV = [f"--{key}={value}" for key, value in FIG1_VALUES.items()]
+POOLS = Path(__file__).resolve().parent.parent / "perfbench" / "pools"
+
+
+def _exit(call, argv, capsys):
+    """(exit code, stdout, stderr) of a call that ends in SystemExit."""
+    with pytest.raises(SystemExit) as exc:
+        call(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+class TestDispatch:
+    # main() hands the arguments after a command name straight to that
+    # command's parser; every outcome must be the full parser's.
+    def test_arguments_parse_as_the_full_parser_parses_them(self):
+        pools = [json.loads((POOLS / f"{name}-20190916.json").read_text(encoding="utf-8"))["ops"]
+                 for name in ("analyze", "sweep", "oracle")]
+        assert all(pools)
+        argvs = [op["argv"] for ops in pools for op in ops]
+        argvs += [
+            ["analyze", "--al", "0.05"],
+            ["analyze", "--r_s=0.3"],
+            ["analyze", "--d", "0.1", "--d", "0.2"],
+            ["analyze", "--config", "base.cfg", "--d", "0.3", "--n", "2"],
+            ["sweep", *FIG1_ARGV, "--param", "zeta", "--range=-0.1:0.1:24"],
+        ]
+        for argv in argvs:
+            assert vars(cli._parse_args(argv)) == vars(cli.make_parser().parse_args(argv)), argv
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["bogus"],
+        ["-h"],
+        ["analyze", "-h"],
+        ["analyze", *FIG1_ARGV, "--seed", "1"],
+        ["oracle-check", *FIG1_ARGV, "--format", "csv"],
+        ["analyze", "--n", "abc"],
+        ["sweep", *FIG1_ARGV, "--param", "zeta", "--range", "-0.1:0.1:3"],
+    ], ids=["empty", "unknown-command", "help", "command-help", "unread-flag", "unread-flag-oracle",
+            "bad-number", "dash-value"])
+    def test_usage_outcome_is_the_full_parsers(self, capsys, argv):
+        assert _exit(main, argv, capsys) == _exit(cli.make_parser().parse_args, argv, capsys)
+
+    def test_console_script_path_reads_sys_argv(self, capsys, monkeypatch):
+        # python -m advisorgame.cli calls main() with argv=None, as the
+        # installed console script does.
+        argv = ["analyze", *FIG1_ARGV, "--seed", "1"]
+        fresh = _fresh(["-m", "advisorgame.cli"], argv, COLUMNS="80")
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = _exit(cli.make_parser().parse_args, argv, capsys)
+        assert (fresh.returncode, fresh.stdout, fresh.stderr) == (code, out, err)
+        assert code == 2 and "error: unrecognized arguments: --seed 1" in err
+
+    def test_values_that_begin_with_a_dash_need_the_equals_form(self, capsys):
+        # argparse takes only plain negative decimals as values, so these
+        # need --flag=value; the value is then validated as any other.
+        args = ["analyze", *FIG1_ARGV]
+        code, _, err = _exit(main, args + ["--d", "-1e-3"], capsys)
+        assert code == 2 and "argument --d: expected one argument" in err
+        assert main(args + ["--d=-1e-3"]) == 1
+        assert capsys.readouterr().err == "error: d: must lie in [0, 1], got -0.001\n"
+        assert main(["sweep", *FIG1_ARGV, "--param", "zeta", "--range=-0.1:0.1:3"]) == 0
+        rows = parse_csv(capsys.readouterr().out)
+        assert [row["flags"] for row in rows] == ["error:zeta", "error:zeta", "NoEquilibria"]
 
 
 class TestSerialization:

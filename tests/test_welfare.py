@@ -33,6 +33,9 @@ from advisorgame import (
     utilities_at_equilibria,
 )
 
+from advisorgame.batch import ParamBatch, RowErrors
+from advisorgame.welfare import LOCATIONS, root_arrays, welfare_arrays
+
 from conftest import draw_params
 
 # Points where a face vertex is clamped to an end of its face, the corner
@@ -445,3 +448,99 @@ class TestPriceOfStability:
                     assert value == report.sw_max
             assert report.pos is None or report.pos <= 1.0
         assert hits >= 100
+
+
+def _kernel(kernel, batch):
+    """``kernel(batch, errors)`` as the library runs it, and each failing
+    row's first error as "Type: message"."""
+    errors = RowErrors()
+    with np.errstate(all="ignore"):
+        result = kernel(batch, errors)
+    return result, {i: f"{type(e).__name__}: {e}" for i, e in errors.first.items()}
+
+
+def _assert_same(a, b, what):
+    """Bit for bit, except for the payload of a NaN."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.dtype.kind in "fc":
+        assert np.array_equal(np.isnan(a), np.isnan(b)), what
+        a, b = np.where(np.isnan(a), 0.0, a), np.where(np.isnan(b), 0.0, b)
+    assert a.tobytes() == b.tobytes(), what
+
+
+class TestRowIndependence:
+    # A row's result must not depend on the other rows of its batch: the
+    # kernels skip stages that no row of the batch needs, and a point is
+    # a batch of one. A row gets the roots, fields and first error that it
+    # gets alone.
+    def test_quartic_roots(self, fig1):
+        omega = np.array([
+            quartic_coefficients(fig1),
+            (1.0, -2.0, 0.0, 0.5, 1e-301),  # tiny leading coefficient
+            (1.0, np.inf, 0.0, 1.0, 2.0),  # not finite
+            (np.nan, 0.0, 0.0, 1.0, 0.0),  # tiny and not finite: tiny comes first
+            (1e200, 0.0, 0.0, 1e200, 1e-200),  # overflowing companion
+            quartic_coefficients(fig1.replace(r_s=fig1.r_d)),  # three trailing zeros
+            (0.0, 1.0, 0.0, 3.0, 4.0),  # one trailing zero
+            (0.0, 0.0, 0.0, 0.0, 4.0),  # a quadruple zero
+            (1.0, 0.0, 0.0, 0.0, 1.0),
+            quartic_coefficients(fig1.replace(alpha=1.25e61)),  # roots near 1e-22
+            quartic_coefficients(fig1.replace(n=3, zeta=3.0)),
+        ])
+        roots, errors = _kernel(root_arrays, omega)
+        assert sorted(errors) == [1, 2, 3, 4]
+        assert errors[1].startswith("DegenerateLeadingCoefficient: leading coefficient 1e-301")
+        assert errors[2].startswith("NumericalContractError: quartic coefficients")
+        assert errors[3].startswith("DegenerateLeadingCoefficient: leading coefficient 0.0")
+        assert "companion matrix" in errors[4]
+        for i in range(len(omega)):
+            alone, alone_errors = _kernel(root_arrays, omega[i:i + 1])
+            if i in errors:
+                assert alone_errors == {0: errors[i]}
+            else:
+                assert not alone_errors
+                _assert_same(roots[i], alone[0], i)
+
+    def test_welfare_arrays(self, fig1):
+        rng = np.random.default_rng(7)
+        points = [fig1, fig1.replace(r_s=fig1.r_d)]
+        for k in range(60):
+            p = draw_params(rng)
+            points.append(p.replace(r_s=p.r_d) if k % 4 == 0 else p)
+        points.append(fig1.replace(d=0.2, x=1.0, w=0.9, n=3, alpha=1.5, beta=3.0, gamma=0.15, zeta=1.2,
+                                   r_d=0.95, r_s=0.05))  # optimum inside the s = 1 face
+        failing = len(points)
+        points += [
+            fig1.replace(alpha=1e-170, zeta=1e-170),  # alpha * zeta underflows
+            fig1.replace(n=1000, beta=1e-300, zeta=1e306),  # a face welfare is NaN
+            ModelParams(d=0.08631337118440073, x=0.9895834721480227, w=0.814304286357178, n=10,
+                        alpha=6.715223243936532e+35, beta=4.923007814323495e-40,
+                        gamma=1.774792609451653e-29, zeta=0.7984097340295095,
+                        r_d=0.6639652598931836, r_s=0.10623159926334069),  # P* above the maximum
+        ]
+        report, errors = _kernel(welfare_arrays, ParamBatch.of(points))
+        assert sorted(errors) == [failing, failing + 1, failing + 2]
+        assert "at P* exceeds the maximum" in errors[failing + 2]
+        ok = [i for i in range(len(points)) if i not in errors]
+        assert any(points[i].r_s == points[i].r_d for i in ok)
+        assert any(points[i].r_s != points[i].r_d for i in ok)
+        assert {LOCATIONS[report.location[i]] for i in ok} == set(LOCATIONS)
+        assert any(report.equilibria.geometric[:, i].any() for i in ok)
+        assert any(not report.equilibria.geometric[:, i].any() for i in ok)
+        for i, p in enumerate(points):
+            alone, alone_errors = _kernel(welfare_arrays, ParamBatch.of([p]))
+            if i in errors:
+                assert alone_errors == {0: errors[i]}
+                continue
+            assert not alone_errors
+            for name in ("sw_max", "location", "arg_c", "arg_s", "sw_at_star", "sw_at_dagger", "pos"):
+                _assert_same(getattr(report, name)[i], getattr(alone, name)[0], (i, name))
+            _assert_same(report.flags[:, i], alone.flags[:, 0], (i, "flags"))
+            eq, eq_alone = report.equilibria, alone.equilibria
+            for name in ("disc", "real", "degenerate", "region", "agree"):
+                _assert_same(getattr(eq, name)[i], getattr(eq_alone, name)[0], (i, name))
+            for name in ("roots", "present", "c", "geometric"):
+                _assert_same(getattr(eq, name)[:, i], getattr(eq_alone, name)[:, 0], (i, name))
+            if eq.region[i]:
+                _assert_same(eq.region_verdict[:, i], eq_alone.region_verdict[:, 0], (i, "region_verdict"))
+                _assert_same(np.array(eq.thresholds)[:, i], np.array(eq_alone.thresholds)[:, 0], (i, "thresholds"))
