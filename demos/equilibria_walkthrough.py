@@ -45,7 +45,7 @@ for name, prof in (("P*", eq.p_star), ("P+", eq.p_dagger)):
     c_br = customer_best_response(p.customer(), prof.s)
     nash = perturbation_check(p, prof, trials=1000, seed=1)
     print(f"\n{name}: advisor BR {s_br:.6f}, customer BR {c_br:.6f}, "
-          f"survives 1000 random deviations: {nash}")
+          f"survives 1000 lattice deviations: {nash}")
 
 start = OpinionProfile.uniform(0.28, 0.35, 1)
 trace = best_response_dynamics(p, start)

@@ -130,7 +130,10 @@ def _analysis(P: ParamBatch, values: list) -> list:
         report = welfare_arrays(P, errors)
         unequal = ~P.equal
         r_d_1, r_d_2 = report.equilibria.thresholds or threshold_arrays(P)
-        check_thresholds(r_d_1, r_d_2, unequal, errors)
+        # equilibrium_arrays has checked the rows of its region already.
+        unchecked = unequal & ~report.equilibria.region
+        if np.count_nonzero(unchecked):
+            check_thresholds(r_d_1, r_d_2, unchecked, errors)
         single = (P.n == 1.0) & (P.x != P.d)
         zeta_bar = np.full(len(P), np.nan)
         if np.count_nonzero(single):
@@ -380,7 +383,7 @@ def _build_parsers() -> tuple:
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sweep.add_argument("--param", required=True, help="parameter to sweep")
     sweep.add_argument("--range", required=True, dest="sweep_range", help="lo:hi:steps")
-    oracle.add_argument("--seed", type=int, default=0, help="seed of the random Nash deviations (>= 0)")
+    oracle.add_argument("--seed", type=int, default=0, help="seed of the offset of the Nash deviation lattice (>= 0)")
     oracle.add_argument("--grid-resolution", type=float, default=1e-3, help="step of the welfare grid")
     return parser, {"analyze": analyze, "sweep": sweep, "oracle-check": oracle}
 

@@ -2,7 +2,8 @@
 
 Everything here re-derives results straight from the utility definitions:
 a grid search for the welfare optimum, iterated best responses as a
-dynamics simulator, and random-deviation checks of the Nash property.
+dynamics simulator, and a check of the Nash property on a seeded lattice
+of unilateral deviations.
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ MAX_GRID_POINTS = 100_000_000
 GRID_PASS = 1 << 14
 # Cells of one (deviation x customer) array in the Nash deviation check.
 DEVIATION_CELLS = 1 << 16
+# Fibonacci hashing: the seed times 2**64 / golden ratio, mod 2**64, spreads
+# consecutive seeds evenly over the lattice offsets of the deviation check.
+FIBONACCI_MULTIPLIER = 0x9E3779B97F4A7C15
 HETERO_MAX_N = 3
 # A deviation must gain more than this to break the Nash property.
 IMPROVEMENT_TOL = 1e-9
@@ -370,27 +374,43 @@ def best_response_dynamics(params, start: OpinionProfile, max_iter: int = 100_00
     )
 
 
-def perturbation_check(params, q: OpinionProfile, trials: int, seed: int = 0) -> bool:
-    """Direct Nash check: no unilateral random deviation may improve a player.
+def _lattice(trials: int, seed: int) -> np.ndarray:
+    """The fractions (k + u0) / trials, k = 0 .. trials - 1, of a player's
+    interval at which the deviation check probes it. The offset u0 in
+    [0, 1) is the top 53 bits of the seed's 64-bit Fibonacci hash, taken
+    with integer arithmetic, so any non-negative int is a seed and u0 is
+    exact."""
+    u0 = (seed * FIBONACCI_MULTIPLIER % 2**64 >> 11) / 2**53
+    return (np.arange(trials) + u0) / trials
 
-    ``trials`` random deviations are drawn per player; trials = 0 is
-    vacuously true and flagged with a warning. Deterministic for a
-    fixed seed.
+
+def perturbation_check(params, q: OpinionProfile, trials: int, seed: int = 0) -> bool:
+    """Direct Nash check: no unilateral deviation on a lattice may improve
+    a player by more than ``IMPROVEMENT_TOL``.
+
+    Each player is probed at ``trials`` evenly spaced points of its
+    interval, [0, 1] for the advisor and [d_i, max(s, d_i)] for customer
+    i, all shifted by the same seeded offset (see ``_lattice``). So every
+    interval of profitable deviations longer than one spacing holds a
+    probe, whatever the seed. Customers with the same parameters and
+    opinion get the same probes and are checked once. trials <= 0 is
+    vacuously true and flagged with a warning. Deterministic for a fixed
+    seed.
     """
     if trials <= 0:
         warnings.warn("trials <= 0: the Nash check is vacuous", RuntimeWarning)
         return True
-    rng = np.random.default_rng(seed)
+    fractions = _lattice(trials, seed)
     base_a = advisor_utility(params, q)
-    s_dev = rng.uniform(0.0, 1.0, size=trials)
     # Chunks of deviations keep the (deviation x customer) array small.
     step = max(1, DEVIATION_CELLS // len(q.c))
     for k in range(0, trials, step):
-        if np.any(advisor_utilities(params, q.c, s_dev[k : k + step]) > base_a + IMPROVEMENT_TOL):
+        if np.any(advisor_utilities(params, q.c, fractions[k : k + step]) > base_a + IMPROVEMENT_TOL):
             return False
-    for i, sl in enumerate(params.customers()):
-        base_i = customer_utility(sl, q.c[i], q.s)
-        c_dev = rng.uniform(sl.d, max(q.s, sl.d), size=trials)
+    # In order of first appearance, so the first error raised is unchanged.
+    for sl, c_i in dict.fromkeys(zip(params.customers(), q.c)):
+        base_i = customer_utility(sl, c_i, q.s)
+        c_dev = sl.d + (max(q.s, sl.d) - sl.d) * fractions
         if np.any(customer_utility(sl, c_dev, q.s) > base_i + IMPROVEMENT_TOL):
             return False
     return True

@@ -728,6 +728,21 @@ class TestOracleCheck:
         assert text.startswith("[PASS] welfare grid agreement")
         assert "[PASS] P+ is a best-response fixed point" in text
 
+    def test_no_process_imports_numpy_random(self):
+        # The deviation lattice needs no random generator, and importing
+        # numpy.random costs about 5.6 MB of RSS.
+        code = "rc = main(sys.argv[1:])\nprint('numpy.random' in sys.modules)\nsys.exit(rc)"
+        run = _fresh_main(["oracle-check", *FIG1_ARGV], code)
+        assert run.returncode == 0, run.stderr
+        assert "[FAIL]" not in run.stdout
+        assert run.stdout.count("Nash deviation check") == 2
+        assert run.stdout.endswith("\nFalse\n")
+
+    def test_any_non_negative_seed_is_taken(self, capsys):
+        assert main(["oracle-check", *FIG1_ARGV, "--seed", str(10**400)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 5 and all(line.startswith("[PASS] ") for line in lines)
+
     def test_negative_seed_is_a_config_error(self, capsys, tmp_path, config_path):
         # Checked before the grid runs and before --out is opened, so no
         # [PASS] line is written ahead of the error.

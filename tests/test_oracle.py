@@ -1,6 +1,7 @@
 """Brute-force cross-checks: welfare grid, best-response dynamics and
-random-deviation Nash verification."""
+the Nash check on a lattice of deviations."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -593,6 +594,21 @@ class TestDynamics:
             best_response_dynamics(p, OpinionProfile.uniform(p.d, 0.5, 1))
 
 
+@pytest.fixture
+def customer_calls(monkeypatch):
+    """The dimension of the opinion argument of each customer_utility call
+    that the oracle makes: 0 for a base payoff, 1 for a lattice of
+    deviations."""
+    calls = []
+
+    def counted(sl, c_i, s):
+        calls.append(np.ndim(c_i))
+        return customer_utility(sl, c_i, s)
+
+    monkeypatch.setattr(oracle, "customer_utility", counted)
+    return calls
+
+
 class TestPerturbation:
     def test_equilibrium_passes(self, fig1):
         eq = nash_equilibria(fig1)
@@ -621,23 +637,86 @@ class TestPerturbation:
         runs = {perturbation_check(fig1, q, 50, seed=9) for _ in range(5)}
         assert len(runs) == 1
 
+    @pytest.mark.parametrize("spacings", [2.5, 3.2, 4.4])
+    def test_advisor_gain_wider_than_a_spacing_fails_on_every_seed(self, fig1, spacings):
+        # The customer plays its best response to s, and s lies delta
+        # above the advisor's best response s*(c). The advisor's payoff in
+        # s' is -a (s' - s*)^2 + const, a = alpha + gamma n, so it gains
+        # more than the tolerance on an interval of width
+        # 2 sqrt(delta^2 - tol / a): here ``spacings`` lattice spacings.
+        trials, a = 1000, fig1.alpha + fig1.gamma * fig1.n
+        delta = math.sqrt((spacings / (2 * trials)) ** 2 + oracle.IMPROVEMENT_TOL / a)
+        s = 0.3  # near P*, where s -> s*(c(s)) + delta converges
+        for _ in range(200):
+            s = advisor_best_response(fig1, [customer_best_response(fig1.customer(), s)]) + delta
+        q = OpinionProfile.uniform(customer_best_response(fig1.customer(), s), s, 1)
+        s_dev = np.linspace(0.0, 1.0, 2_000_001)
+        gains = advisor_utilities(fig1, q.c, s_dev) > advisor_utility(fig1, q) + oracle.IMPROVEMENT_TOL
+        assert np.count_nonzero(gains) / 2000 == pytest.approx(spacings, abs=0.01)
+        assert not any(perturbation_check(fig1, q, trials, seed=k) for k in range(50))
+
+    # The last seed's 64-bit Fibonacci hash is 2**64 - 1, which a float
+    # division by 2**64 would round to an offset of exactly 1, one
+    # spacing past the first.
+    @pytest.mark.parametrize("seed", [0, 1, 2**64, 10**400, -pow(0x9E3779B97F4A7C15, -1, 2**64) % 2**64])
+    def test_lattice_offset_lies_in_the_first_spacing(self, seed):
+        fractions = oracle._lattice(8, seed)
+        u0 = fractions[0] * 8
+        assert 0.0 <= u0 < 1.0
+        assert np.array_equal(fractions, (np.arange(8) + u0) / 8)
+        assert fractions[-1] <= 1.0
+
+    def test_identical_customers_are_probed_once(self, customer_calls):
+        # An n = 1000 point of the analyze tuning pool with an admissible
+        # P*, and a profile where the advisor plays its best response and
+        # the customers can gain. One evaluation of the lattice gives the
+        # verdict of probing each of the 1000 customers in turn.
+        p = ModelParams(
+            d=0.4245046393069442, x=0.5050241905059437, w=0.13476531105442058, n=1000,
+            alpha=0.41529528180186775, beta=0.40324760479851324, gamma=0.10031917278689145,
+            zeta=1.0716882649457649, r_d=0.7097192880196309, r_s=0.7097192880196309,
+        )
+        c = 0.45
+        profiles = [nash_equilibria(p).p_star, OpinionProfile.uniform(c, advisor_best_response(p, [c] * p.n), p.n)]
+        fractions = oracle._lattice(1000, 5)
+        for q, verdict in zip(profiles, [True, False]):
+            customer_calls.clear()
+            assert perturbation_check(p, q, 1000, seed=5) is verdict
+            assert customer_calls == [0, 1]  # the base payoff, then the deviations
+            gains = [
+                np.any(customer_utility(sl, sl.d + (max(q.s, sl.d) - sl.d) * fractions, q.s)
+                       > customer_utility(sl, c_i, q.s) + oracle.IMPROVEMENT_TOL)
+                for sl, c_i in zip(p.customers(), q.c)
+            ]
+            assert gains == [not verdict] * p.n
+
 
 def _scalar_perturbation_check(params, q, trials, seed=0, improvement_tol=1e-9):
-    """One utility call per random deviation, drawn as perturbation_check
-    draws them: the reference for its array evaluation."""
-    rng = np.random.default_rng(seed)
+    """One utility call per deviation, on the lattice perturbation_check
+    probes, written out one probe at a time: the reference for its array
+    evaluation. Probe k of a player's interval [lo, hi] sits at
+    lo + (hi - lo) (k + u0) / trials, for the offset u0 in [0, 1) given by
+    the top 53 bits of the seed's 64-bit Fibonacci hash. A customer whose
+    parameters and opinion an earlier customer shares is skipped."""
+    u0 = (seed * 0x9E3779B97F4A7C15 % 2**64 >> 11) / 2**53
+    fractions = [(k + u0) / trials for k in range(trials)]
     if isinstance(params, HeterogeneousParams):
         slices = [params.customer(i) for i in range(params.n)]
     else:
         slices = [params.customer()] * params.n
     base_a = advisor_utility(params, q)
-    for s_dev in rng.uniform(0.0, 1.0, size=trials):
-        if advisor_utility(params, OpinionProfile(q.c, s_dev)) > base_a + improvement_tol:
+    for f in fractions:
+        if advisor_utility(params, OpinionProfile(q.c, f)) > base_a + improvement_tol:
             return False
-    for i, sl in enumerate(slices):
-        base_i = customer_utility(sl, q.c[i], q.s)
-        for c_dev in rng.uniform(sl.d, max(q.s, sl.d), size=trials):
-            if customer_utility(sl, float(c_dev), q.s) > base_i + improvement_tol:
+    seen = set()
+    for sl, c_i in zip(slices, q.c):
+        if (sl, c_i) in seen:
+            continue
+        seen.add((sl, c_i))
+        base_i = customer_utility(sl, c_i, q.s)
+        hi = max(q.s, sl.d)
+        for f in fractions:
+            if customer_utility(sl, sl.d + (hi - sl.d) * f, q.s) > base_i + improvement_tol:
                 return False
     return True
 
@@ -671,6 +750,26 @@ class TestPerturbationMatchesScalarLoop:
             s = rng.uniform(0.2, 1.0)
             q = OpinionProfile(c=tuple(rng.uniform(0.15, s, size=2)), s=s)
             assert perturbation_check(het, q, 200) == _scalar_perturbation_check(het, q, 200)
+
+    def test_heterogeneous_repeated_customer(self, customer_calls):
+        # Customers 0 and 2 share d_i, r_d_i and their opinion. The
+        # advisor's weight on x pins its best response within 1e-8 of x,
+        # so the customers' best responses to x are an equilibrium up to
+        # gains far below the tolerance; moving the repeated customer off
+        # its best response breaks it.
+        het = HeterogeneousParams(
+            x=0.4, w=0.5, alpha=1e6, beta=0.1, gamma=0.2, zeta=10.0,
+            r_s=0.2, d_i=(0.1, 0.15, 0.1), r_d_i=(0.3, 0.28, 0.3),
+        )
+        c = [customer_best_response(sl, het.x) for sl in het.customers()]
+        for shift, verdict in ((0.0, True), (0.01, False)):
+            c_q = (c[0] + shift, c[1], c[0] + shift)
+            q = OpinionProfile(c=c_q, s=advisor_best_response(het, c_q))
+            for seed in range(5):
+                customer_calls.clear()
+                assert perturbation_check(het, q, 200, seed=seed) is verdict
+                assert customer_calls == ([0, 1, 0, 1] if verdict else [0, 1])
+                assert _scalar_perturbation_check(het, q, 200, seed=seed) is verdict
 
     @pytest.mark.parametrize("trials", [0, -5])
     def test_non_positive_trials_warn(self, fig1, trials):
