@@ -30,9 +30,9 @@ for name, prof, adm in (("P*", eq.p_star, eq.star_admissible),
           f"admissible = {adm}")
 print("admissibility agreed by:", eq.admissibility_source.value)
 
-star, dagger, thr = check_admissibility_regions(p)
-print(f"\nfeasibility windows below r_d: width {thr.r_d_1:.4f} (P*), "
-      f"down to {thr.r_d_2:.4f} (P+)")
+star, dagger, (r_d_1, r_d_2) = check_admissibility_regions(p)
+print(f"\nfeasibility windows below r_d: width {r_d_1:.4f} (P*), "
+      f"down to {r_d_2:.4f} (P+)")
 print(f"r_s - r_d = {p.r_s - p.r_d:+.2f} keeps P* in: {star}, P+ in: {dagger}")
 
 crit = critical_zeta(p)

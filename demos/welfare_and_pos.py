@@ -8,10 +8,11 @@ away from both equilibria, so the Price of Stability is below one.
 from advisorgame import (
     GridSpec,
     ModelParams,
+    advisor_utility,
+    customer_utility,
     grid_max_welfare,
     lipschitz_bound,
     maximize_welfare,
-    utilities_at_equilibria,
 )
 
 p = ModelParams(d=0.1, x=0.4, w=0.5, n=1, alpha=0.05, beta=0.1,
@@ -31,11 +32,11 @@ print(f"\nwelfare at P*: {report.sw_at_star:.9f}")
 print(f"welfare at P+: {report.sw_at_dagger:.9f}")
 print(f"Price of Stability: {report.pos:.6f}")
 
-util = utilities_at_equilibria(p, report.equilibria)
-print(f"\nper-player payoffs at P*: advisor {util.u_a_star:.7f}, "
-      f"customer {util.u_cl_star:.7f}")
-print(f"per-player payoffs at P+: advisor {util.u_a_dagger:.7f}, "
-      f"customer {util.u_cl_dagger:.7f}")
+print()
+for name, prof in (("P*", report.equilibria.p_star), ("P+", report.equilibria.p_dagger)):
+    u_cl = customer_utility(p.customer(), prof.c[0], prof.s)
+    print(f"per-player payoffs at {name}: advisor {advisor_utility(p, prof):.7f}, "
+          f"customer {u_cl:.7f}")
 
 aligned = maximize_welfare(p.replace(r_s=p.r_d, w=p.x))
 print(f"\nwith r_s = r_d and w = x every penalty can vanish at once: "

@@ -8,7 +8,6 @@ from .errors import (
     EqualReturns,
     GridTooLarge,
     InvalidParameter,
-    MissingEquilibrium,
     NumericalContractError,
     UnsupportedN,
 )
@@ -27,39 +26,30 @@ from .model import (
     customer_utility,
     social_welfare,
     social_welfare_gradient,
-    total_utility,
 )
 from .equilibria import (
     AdmissibilitySource,
-    AdmissibilityThresholds,
     CriticalZeta,
     EquilibriumPair,
-    LimitRegime,
     QuadraticRoots,
-    admissibility_thresholds,
     check_admissibility_regions,
     critical_zeta,
-    limit_equilibria,
     nash_equilibria,
-    quadratic_discriminant,
     solve_quadratic,
 )
 from .welfare import (
-    EquilibriumUtilities,
     PosFlag,
     QuarticAnalysis,
     WelfareReport,
-    boundary_membership,
     classify_quartic,
     maximize_welfare,
-    quartic_coefficients,
     solve_quartic,
-    utilities_at_equilibria,
 )
 from .oracle import (
     DynamicsTrace,
     GridSpec,
     best_response_dynamics,
+    best_response_gap,
     grid_max_welfare,
     lipschitz_bound,
     perturbation_check,

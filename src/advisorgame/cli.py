@@ -20,8 +20,9 @@ from .batch import ParamBatch, RowErrors
 from .equilibria import check_thresholds, critical_zeta_arrays, threshold_arrays
 from .errors import AdvisorGameError, GridTooLarge, InvalidParameter
 from .oracle import (
+    DYNAMICS_TOL,
     GridSpec,
-    best_response_dynamics,
+    best_response_gap,
     grid_max_welfare,
     lipschitz_bound,
     perturbation_check,
@@ -360,8 +361,7 @@ def run_oracle_check(p: ModelParams, seed: int, resolution: float) -> tuple:
         if not admissible or prof.s - p.d <= 1e-9:
             continue
         report(f"{name} Nash deviation check", perturbation_check(p, prof, 1000, seed=seed))
-        trace = best_response_dynamics(p, prof, max_iter=10)
-        report(f"{name} is a best-response fixed point", trace.converged)
+        report(f"{name} is a best-response fixed point", best_response_gap(p, prof) <= DYNAMICS_TOL)
     return ok, "".join(lines)
 
 

@@ -41,12 +41,6 @@ class AdmissibilitySource(enum.Enum):
     BOTH = "both"
 
 
-class LimitRegime(enum.Enum):
-    ZETA_INF = "zeta_inf"
-    ALPHA_INF = "alpha_inf"
-    GAMMA_ZERO = "gamma_zero"
-
-
 @dataclass(frozen=True)
 class QuadraticRoots:
     """Roots of the equilibrium quadratic; absent when the discriminant
@@ -59,14 +53,6 @@ class QuadraticRoots:
     @property
     def real(self) -> bool:
         return self.a is not None
-
-
-@dataclass(frozen=True)
-class AdmissibilityThresholds:
-    """Width of the r_s windows below r_d in which P* / P+ stay feasible."""
-
-    r_d_1: float  # alpha zeta / (2 gamma n) (x - d)^2
-    r_d_2: float  # 2 zeta alpha^2 ((x - d) / (alpha + gamma n))^2
 
 
 @dataclass(frozen=True)
@@ -154,15 +140,6 @@ def discriminant_arrays(P: ParamBatch, errors: RowErrors) -> np.ndarray:
     errors.add(~np.isfinite(disc), lambda i: NumericalContractError(
         f"quadratic discriminant {disc[i].item()!r} is not finite"))
     return disc
-
-
-def quadratic_discriminant(p: ModelParams) -> float:
-    """The expression under the square root of the root closed form.
-
-    Raises DegenerateDenominator when alpha * zeta underflows to 0 and
-    NumericalContractError when the expression is not finite.
-    """
-    return one_row(discriminant_arrays, ParamBatch.of([p]))[0].item()
 
 
 def _residual_check(P: ParamBatch, roots, rows, errors: RowErrors, two_alpha, d_plus_x) -> None:
@@ -319,60 +296,24 @@ def nash_equilibria(p: ModelParams) -> EquilibriumPair:
     return one_row(equilibrium_arrays, ParamBatch.of([p])).pair(0, p.n)
 
 
-def admissibility_thresholds(p: ModelParams) -> AdmissibilityThresholds:
-    """The r_s windows below r_d in which P* and P+ stay feasible; raises
-    NumericalContractError when a threshold is not finite."""
+def check_admissibility_regions(p: ModelParams):
+    """Closed-form admissibility verdicts for P* and P+ (r_s != r_d).
+
+    Returns (star, dagger, (r_d_1, r_d_2)), where r_d_1 and r_d_2 are the
+    widths of the r_s windows below r_d in which P* and P+ stay feasible.
+    Raises NumericalContractError when a threshold is not finite.
+    """
+    if p.r_s == p.r_d:
+        raise EqualReturns("region formulas require r_s != r_d")
 
     def kernel(P, errors):
         r_d_1, r_d_2 = threshold_arrays(P)
         check_thresholds(r_d_1, r_d_2, True, errors)
-        return r_d_1, r_d_2
+        return r_d_1, r_d_2, _region_verdicts(P, r_d_1, r_d_2)
 
-    r_d_1, r_d_2 = one_row(kernel, ParamBatch.of([p]))
-    return AdmissibilityThresholds(r_d_1=r_d_1[0].item(), r_d_2=r_d_2[0].item())
-
-
-def check_admissibility_regions(p: ModelParams):
-    """Closed-form admissibility verdicts for P* and P+ (r_s != r_d).
-
-    Returns (star, dagger, thresholds).
-    """
-    if p.r_s == p.r_d:
-        raise EqualReturns("region formulas require r_s != r_d")
-    thresholds = admissibility_thresholds(p)
-    verdicts = _region_verdicts(ParamBatch.of([p]), thresholds.r_d_1, thresholds.r_d_2)
+    r_d_1, r_d_2, verdicts = one_row(kernel, ParamBatch.of([p]))
     star, dagger = verdicts[:, 0].tolist()
-    return star, dagger, thresholds
-
-
-def limit_equilibria(p: ModelParams, which: LimitRegime):
-    """Limit positions of the equilibria for extreme parameter values.
-
-    ZETA_INF is the two-point limit (n = 1 only); ALPHA_INF and
-    GAMMA_ZERO each leave a single surviving equilibrium at s = x.
-    """
-    if which is LimitRegime.ZETA_INF:
-        if p.n != 1:
-            raise UnsupportedN("the zeta -> inf closed forms are stated for n = 1")
-        mid = 0.5 * (p.d + p.x)
-        half = 0.5 * abs(p.d - p.x)
-        gap = p.x - p.d
-        s_star = mid + half
-        s_dag = mid - half
-        c_star = s_star - p.alpha * (gap - abs(gap)) / (2.0 * p.gamma)
-        c_dag = s_dag - p.alpha * (gap + abs(gap)) / (2.0 * p.gamma)
-        return [
-            OpinionProfile.uniform(c_star, s_star, p.n),
-            OpinionProfile.uniform(c_dag, s_dag, p.n),
-        ]
-    if which is LimitRegime.ALPHA_INF:
-        return [OpinionProfile.uniform(p.x, p.x, p.n)]
-    if which is LimitRegime.GAMMA_ZERO:
-        if p.x == p.d:
-            raise DegenerateDenominator("the gamma -> 0 customer coordinate needs x != d")
-        c = (p.r_s - p.r_d) / (2.0 * p.zeta * (p.x - p.d)) + p.x
-        return [OpinionProfile.uniform(c, p.x, p.n)]
-    raise ValueError(f"unknown limit regime {which!r}")
+    return star, dagger, (r_d_1[0].item(), r_d_2[0].item())
 
 
 def critical_zeta_arrays(P: ParamBatch, errors: RowErrors):

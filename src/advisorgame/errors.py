@@ -26,10 +26,6 @@ class UnsupportedN(AdvisorGameError, ValueError):
     """A closed form is only available for a single customer (n = 1)."""
 
 
-class MissingEquilibrium(AdvisorGameError, ValueError):
-    """An operation on an equilibrium was requested but none is present."""
-
-
 class DegenerateLeadingCoefficient(AdvisorGameError, ValueError):
     """The quartic's leading coefficient is numerically zero."""
 

@@ -105,15 +105,3 @@ def social_welfare_gradient(p: ModelParams, q: OpinionProfile) -> np.ndarray:
         + curve
     )
     return np.concatenate([g_c, [g_s]])
-
-
-def total_utility(params, q: OpinionProfile) -> float:
-    """u_A + sum_i u_i, summed from the individual utilities.
-
-    Works for both homogeneous and heterogeneous parameters; used as the
-    definitional cross-check of :func:`social_welfare`.
-    """
-    total = advisor_utility(params, q)
-    for sl, c_i in zip(params.customers(), q.c):
-        total += customer_utility(sl, c_i, q.s)
-    return total

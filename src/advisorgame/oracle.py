@@ -2,8 +2,9 @@
 
 Everything here re-derives results straight from the utility definitions:
 a grid search for the welfare optimum, iterated best responses as a
-dynamics simulator, and a check of the Nash property on a seeded lattice
-of unilateral deviations.
+dynamics simulator, the distance from a profile to its best responses,
+and a check of the Nash property on a seeded lattice of unilateral
+deviations.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ FIBONACCI_MULTIPLIER = 0x9E3779B97F4A7C15
 HETERO_MAX_N = 3
 # A deviation must gain more than this to break the Nash property.
 IMPROVEMENT_TOL = 1e-9
-# The dynamics stop when successive iterates are this close (sup-distance).
+# The dynamics stop when successive iterates are this close (sup-distance),
+# and a profile this close to its best responses is a fixed point.
 DYNAMICS_TOL = 1e-9
 # lipschitz_bound covers the feasible points with s - d at least this.
 S_FLOOR_GAP = 0.05
@@ -372,6 +374,19 @@ def best_response_dynamics(params, start: OpinionProfile, max_iter: int = 100_00
         fixed_point=current if converged else None,
         iterations_used=iterations,
     )
+
+
+def best_response_gap(params, q: OpinionProfile) -> float:
+    """Sup-distance between ``q`` and one simultaneous best-response step
+    from it: the advisor's response to the opinions c and each
+    customer's to the stated opinion s. It is 0 at a Nash equilibrium,
+    up to rounding, and NaN where a best response is NaN. Customers with
+    the same parameters and opinion are checked once.
+    """
+    moves = [advisor_best_response(params, q.c) - q.s]
+    for sl, c_i in dict.fromkeys(zip(params.customers(), q.c)):
+        moves.append(customer_best_response(sl, q.s) - c_i)
+    return float(np.max(np.abs(moves)))
 
 
 def _lattice(trials: int, seed: int) -> np.ndarray:

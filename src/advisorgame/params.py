@@ -148,9 +148,8 @@ class HeterogeneousParams:
 class OpinionProfile:
     """A strategy point (c_1, ..., c_n, s).
 
-    Carries a domain-membership predicate; it never clamps coordinates,
-    because points outside the feasible set are meaningful (they drive
-    the admissibility analysis).
+    It never clamps coordinates, because points outside the feasible set
+    are meaningful (they drive the admissibility analysis).
     """
 
     c: tuple
@@ -167,12 +166,3 @@ class OpinionProfile:
 
     def c_array(self) -> np.ndarray:
         return np.asarray(self.c, dtype=float)
-
-    def in_domain(self, d) -> bool:
-        """Membership in {d_i <= c_i <= s <= 1}.
-
-        ``d`` is a scalar baseline or one baseline per customer.
-        """
-        lo = np.broadcast_to(np.asarray(d, dtype=float), (len(self.c),))
-        c = self.c_array()
-        return bool(np.all(c >= lo) and np.all(c <= self.s) and self.s <= 1.0)

@@ -41,7 +41,6 @@ from .batch import ParamBatch, RowErrors, one_row, where_max, where_min
 from .errors import (
     DegenerateDenominator,
     DegenerateLeadingCoefficient,
-    MissingEquilibrium,
     NumericalContractError,
 )
 from .params import EPS_DEN, ModelParams, OpinionProfile
@@ -51,8 +50,6 @@ QUARTIC_RESIDUAL_TOL = 1e-8
 REAL_ROOT_IMAG_TOL = 1e-9
 EQUILIBRIUM_WELFARE_TOL = 1e-9
 POS_TIE_TOL = 1e-12
-# Distance within which boundary_membership puts a point on a face.
-BOUNDARY_TOL = 1e-12
 
 LOCATIONS = ("interior", "face:c=d", "face:s=1", "face:c=s")
 
@@ -108,11 +105,6 @@ def coefficient_arrays(P: ParamBatch) -> np.ndarray:
     omega[:, 3] = 4.0 * (P.beta * P.n * (P.d - P.w) * gz + P.alpha * (P.d - P.x) * bgz)
     omega[:, 4] = 4.0 * (P.beta * P.n * gz + P.alpha * bgz)
     return omega
-
-
-def quartic_coefficients(p: ModelParams) -> Tuple[float, float, float, float, float]:
-    """(omega_0, ..., omega_4) of the interior-stationarity quartic in y = s - d."""
-    return tuple(coefficient_arrays(ParamBatch.of([p]))[0].tolist())
 
 
 def _check_finite(omega: np.ndarray, errors: RowErrors) -> np.ndarray:
@@ -291,30 +283,6 @@ def classify_quartic(omega) -> QuarticAnalysis:
     )
 
 
-def boundary_membership(p: ModelParams, q: OpinionProfile) -> bool:
-    """Whether ``q`` lies on the boundary of the feasible set.
-
-    The boundary is the set of feasible points where at least one factor
-    of prod_i (c_i - d)(s - c_i) * (s - 1) vanishes, each to within
-    ``BOUNDARY_TOL``.
-    """
-    c = q.c_array()
-    s = q.s
-    tol = BOUNDARY_TOL
-    if not (
-        np.all(c >= p.d - tol)
-        and np.all(c <= 1.0 + tol)
-        and p.d - tol <= s <= 1.0 + tol
-        and np.max(c, initial=p.d) <= s + tol
-    ):
-        return False
-    return bool(
-        np.any(np.abs(c - p.d) <= tol)
-        or np.any(np.abs(s - c) <= tol)
-        or abs(s - 1.0) <= tol
-    )
-
-
 def _stationary_customer(P: ParamBatch, s, ratio):
     """The customers' stationary opinion at stated opinion ``s``, where
     ``ratio`` is (r_s - r_d) / (s - d) (0 when r_s == r_d)."""
@@ -466,34 +434,3 @@ def maximize_welfare(p: ModelParams) -> WelfareReport:
     face's interval.
     """
     return one_row(welfare_arrays, ParamBatch.of([p])).report(0, p.n)
-
-
-@dataclass(frozen=True)
-class EquilibriumUtilities:
-    u_a_star: Optional[float]
-    u_cl_star: Optional[float]
-    u_a_dagger: Optional[float]
-    u_cl_dagger: Optional[float]
-
-
-def utilities_at_equilibria(p: ModelParams, eq: EquilibriumPair) -> EquilibriumUtilities:
-    """Closed-form payoffs at P* and P+ (per-customer value for u_cl)."""
-    if eq.p_star is None and eq.p_dagger is None:
-        raise MissingEquilibrium("neither equilibrium is present")
-
-    def pair(root):
-        ratio = 0.0 if p.r_s == p.r_d else (p.r_s - p.r_d) / (root - p.d)
-        u_cl = p.r_s + ratio**2 / (4.0 * p.zeta)
-        u_a = (
-            -p.alpha * (root - p.x) ** 2
-            - p.beta * p.n * (p.w - ratio / (2.0 * p.zeta) - root) ** 2
-            - p.gamma * p.n * ratio**2 / (4.0 * p.zeta**2)
-        )
-        return u_a, u_cl
-
-    u_a_s = u_cl_s = u_a_d = u_cl_d = None
-    if eq.p_star is not None:
-        u_a_s, u_cl_s = pair(eq.roots.a)
-    if eq.p_dagger is not None:
-        u_a_d, u_cl_d = pair(eq.roots.b)
-    return EquilibriumUtilities(u_a_s, u_cl_s, u_a_d, u_cl_d)

@@ -1,6 +1,8 @@
 import pytest
 
-from advisorgame import ModelParams, OpinionProfile
+from advisorgame import ModelParams, OpinionProfile, advisor_utility, customer_utility
+from advisorgame.batch import ParamBatch
+from advisorgame.welfare import coefficient_arrays
 
 
 @pytest.fixture
@@ -37,3 +39,20 @@ def draw_domain_point(rng, p, margin=0.0):
     s = rng.uniform(lo, 1.0) if lo < 1.0 else 1.0
     c = rng.uniform(p.d, s, size=p.n)
     return OpinionProfile(c=tuple(c), s=s)
+
+
+def total_utility(params, q):
+    """u_A + sum_i u_i, summed from the individual utilities.
+
+    Works for both homogeneous and heterogeneous parameters; the
+    definitional cross-check of ``social_welfare``.
+    """
+    total = advisor_utility(params, q)
+    for sl, c_i in zip(params.customers(), q.c):
+        total += customer_utility(sl, c_i, q.s)
+    return total
+
+
+def quartic_coefficients(p):
+    """(omega_0, ..., omega_4) of the interior-stationarity quartic in y = s - d."""
+    return tuple(coefficient_arrays(ParamBatch.of([p]))[0].tolist())

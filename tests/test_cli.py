@@ -1,6 +1,7 @@
 """Command-line interface: config parsing, analysis records, sweeps and
 serialization round-trips."""
 
+import dataclasses
 import io
 import json
 import math
@@ -19,6 +20,7 @@ from advisorgame import (
     AdvisorGameError,
     InvalidParameter,
     ModelParams,
+    OpinionProfile,
     PosFlag,
     maximize_welfare,
     nash_equilibria,
@@ -727,6 +729,39 @@ class TestOracleCheck:
         text = path.read_text()
         assert text.startswith("[PASS] welfare grid agreement")
         assert "[PASS] P+ is a best-response fixed point" in text
+
+    @pytest.mark.parametrize("coordinate,shift", [
+        (None, 0.0), ("s", 1e-8), ("s", 0.1), ("c", 1e-8), ("c", 0.1),
+    ], ids=["undisplaced", "s+1e-8", "s+0.1", "c+1e-8", "c+0.1"])
+    def test_fixed_point_line_tests_the_profile(self, monkeypatch, coordinate, shift):
+        # Every admissible equilibrium of the benchmark's oracle pools is
+        # a fixed point; displaced in s or in every c, it is not. Iterated
+        # best responses from a displaced equilibrium settle back onto it,
+        # so comparing successive iterates would pass it. The grid is not
+        # under test here and takes the analytic value.
+        analytic = cli.maximize_welfare
+
+        def displaced(p):
+            report = analytic(p)
+            moved = {}
+            for key in ("p_star", "p_dagger"):
+                q = getattr(report.equilibria, key)
+                if q is not None and coordinate == "s":
+                    moved[key] = OpinionProfile(c=q.c, s=q.s + shift)
+                elif q is not None and coordinate == "c":
+                    moved[key] = OpinionProfile(c=[c + shift for c in q.c], s=q.s)
+            return dataclasses.replace(report, equilibria=dataclasses.replace(report.equilibria, **moved))
+
+        monkeypatch.setattr(cli, "maximize_welfare", displaced)
+        monkeypatch.setattr(cli, "grid_max_welfare", lambda p, grid: (None, analytic(p).sw_max))
+        lines = []
+        for pool in ("oracle-20190916.json", "oracle-1909.json"):
+            for op in json.loads((POOLS / pool).read_text(encoding="utf-8"))["ops"]:
+                _, text = cli.run_oracle_check(_params_of(op["argv"][1:-2]), 0, 5e-4)
+                lines += [line for line in text.splitlines() if "best-response fixed point" in line]
+        assert len(lines) == 137
+        verdict = "[PASS] " if coordinate is None else "[FAIL] "
+        assert [line for line in lines if not line.startswith(verdict)] == []
 
     def test_no_process_imports_numpy_random(self):
         # The deviation lattice needs no random generator, and importing

@@ -1,4 +1,5 @@
-"""Smoke test of the narrative demos: each runs to completion."""
+"""The narrative demos: each runs to completion and prints the text
+recorded in tests/data/demos/<demo>.txt, byte for byte."""
 
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+EXPECTED = ROOT / "tests" / "data" / "demos"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
@@ -17,6 +19,7 @@ def test_demo_runs(demo):
     src = str(ROOT / "src")
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
     done = subprocess.run([sys.executable, str(demo)], env=env, cwd=ROOT,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert "Traceback" not in done.stderr
+                          capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr.decode()
+    assert b"Traceback" not in done.stderr
+    assert done.stdout == (EXPECTED / f"{demo.stem}.txt").read_bytes()

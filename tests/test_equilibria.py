@@ -9,7 +9,6 @@ from advisorgame import (
     EPS_DEN,
     DegenerateDenominator,
     EqualReturns,
-    LimitRegime,
     ModelParams,
     NumericalContractError,
     OpinionProfile,
@@ -18,9 +17,7 @@ from advisorgame import (
     check_admissibility_regions,
     critical_zeta,
     customer_best_response,
-    limit_equilibria,
     nash_equilibria,
-    quadratic_discriminant,
     solve_quadratic,
 )
 
@@ -82,7 +79,7 @@ class TestQuadraticRoots:
 
     def test_discriminant_monotone_in_dissonance(self, fig1):
         zetas = np.linspace(5.0, 40.0, 50)
-        discs = [quadratic_discriminant(fig1.replace(zeta=z)) for z in zetas]
+        discs = [solve_quadratic(fig1.replace(zeta=z)).discriminant for z in zetas]
         assert all(d2 > d1 for d1, d2 in zip(discs, discs[1:]))
 
 
@@ -142,9 +139,9 @@ class TestNashEquilibria:
 
 class TestAdmissibilityRegions:
     def test_two_equilibria_thresholds(self, fig1):
-        star, dagger, thr = check_admissibility_regions(fig1)
-        assert thr.r_d_1 == pytest.approx(0.1125, rel=1e-12)
-        assert thr.r_d_2 == pytest.approx(0.072, rel=1e-12)
+        star, dagger, (r_d_1, r_d_2) = check_admissibility_regions(fig1)
+        assert r_d_1 == pytest.approx(0.1125, rel=1e-12)
+        assert r_d_2 == pytest.approx(0.072, rel=1e-12)
         assert star and dagger
 
     def test_baseline_above_internal_rejects_both(self, fig1):
@@ -168,10 +165,10 @@ class TestAdmissibilityRegions:
             p = draw_params(rng)
             if p.r_s == p.r_d:
                 continue
-            _, _, thr = check_admissibility_regions(p)
-            assert thr.r_d_1 >= 0.0 and thr.r_d_2 >= 0.0
+            _, _, (r_d_1, r_d_2) = check_admissibility_regions(p)
+            assert r_d_1 >= 0.0 and r_d_2 >= 0.0
             if p.alpha <= p.gamma * p.n:
-                assert thr.r_d_2 <= thr.r_d_1 * (1 + 1e-12)
+                assert r_d_2 <= r_d_1 * (1 + 1e-12)
 
     def test_region_formula_matches_geometry(self):
         rng = np.random.default_rng(19)
@@ -190,48 +187,48 @@ class TestAdmissibilityRegions:
 
 
 class TestLimits:
+    # The equilibria at extreme parameter values, against the limits
+    # worked out by hand for fig1: as zeta -> inf the roots tend to x and
+    # d and each customer coordinate to its best response there; as
+    # alpha -> inf or gamma -> 0 the advisor states s = x.
     def test_infinite_dissonance_two_points(self, fig1):
-        pts = limit_equilibria(fig1, LimitRegime.ZETA_INF)
-        assert pts[0].s == pytest.approx(0.4, abs=1e-14)
-        assert pts[0].c[0] == pytest.approx(0.4, abs=1e-14)
-        assert pts[1].s == pytest.approx(0.1, abs=1e-14)
-        assert pts[1].c[0] == pytest.approx(0.025, abs=1e-14)
+        eq = nash_equilibria(fig1.replace(zeta=1e8))
+        assert eq.p_star.c[0] == pytest.approx(0.4, abs=1e-7)
+        assert eq.p_star.s == pytest.approx(0.4, abs=1e-7)
+        assert eq.p_dagger.c[0] == pytest.approx(0.025, abs=1e-7)
+        assert eq.p_dagger.s == pytest.approx(0.1, abs=1e-7)
 
     def test_infinite_dissonance_is_approached(self, fig1):
-        eq = nash_equilibria(fig1.replace(zeta=1e8))
-        pts = limit_equilibria(fig1, LimitRegime.ZETA_INF)
-        assert eq.p_star.s == pytest.approx(pts[0].s, abs=1e-4)
-        assert eq.p_star.c[0] == pytest.approx(pts[0].c[0], abs=1e-4)
-        assert eq.p_dagger.s == pytest.approx(pts[1].s, abs=1e-4)
-        assert eq.p_dagger.c[0] == pytest.approx(pts[1].c[0], abs=1e-4)
+        limits = np.array([0.4, 0.4, 0.025, 0.1])
+        misses = []
+        for zeta in (1e4, 1e6, 1e8):
+            eq = nash_equilibria(fig1.replace(zeta=zeta))
+            point = [eq.p_star.c[0], eq.p_star.s, eq.p_dagger.c[0], eq.p_dagger.s]
+            misses.append(np.max(np.abs(np.array(point) - limits)))
+        assert misses[0] > 10.0 * misses[1] > 100.0 * misses[2]
 
     def test_infinite_dissonance_reversed_opinions(self, fig1):
-        # With d > x the surviving branches swap roles.
-        p = fig1.replace(d=0.6)
-        pts = limit_equilibria(p, LimitRegime.ZETA_INF)
-        eq = nash_equilibria(p.replace(zeta=1e8))
-        assert eq.p_star.c[0] == pytest.approx(pts[0].c[0], abs=1e-4)
-        assert eq.p_dagger.c[0] == pytest.approx(pts[1].c[0], abs=1e-4)
+        # With d > x the two branches swap: P+ now holds c = s = x, and P*
+        # sits at s = d with c above it.
+        eq = nash_equilibria(fig1.replace(d=0.6, zeta=1e8))
+        assert eq.p_star.c[0] == pytest.approx(0.65, abs=1e-7)
+        assert eq.p_star.s == pytest.approx(0.6, abs=1e-7)
+        assert eq.p_dagger.c[0] == pytest.approx(0.4, abs=1e-7)
+        assert eq.p_dagger.s == pytest.approx(0.4, abs=1e-7)
 
     def test_infinite_truthfulness_single_point(self, fig1):
-        (pt,) = limit_equilibria(fig1, LimitRegime.ALPHA_INF)
-        assert pt == OpinionProfile.uniform(0.4, 0.4, 1)
+        # Only P* survives in the triangle; P+ sits at s = d, with its
+        # customer coordinate diverging.
+        eq = nash_equilibria(fig1.replace(alpha=1e8))
+        assert eq.p_star.s == pytest.approx(0.4, abs=1e-9)
+        assert eq.p_star.c[0] == pytest.approx(0.4 - 1.0 / 60.0, abs=1e-9)
+        assert eq.star_admissible and not eq.dagger_admissible
 
     def test_vanishing_influence_single_point(self, fig1):
-        (pt,) = limit_equilibria(fig1, LimitRegime.GAMMA_ZERO)
-        assert pt.s == pytest.approx(0.4, abs=1e-14)
-        assert pt.c[0] == pytest.approx(0.4 - 0.1 / 6.0, rel=1e-12)
         eq = nash_equilibria(fig1.replace(gamma=1e-9))
-        assert eq.p_star.s == pytest.approx(pt.s, abs=1e-6)
-        assert eq.p_star.c[0] == pytest.approx(pt.c[0], abs=1e-6)
-
-    def test_unsupported_preconditions(self, fig1):
-        with pytest.raises(UnsupportedN):
-            limit_equilibria(fig1.replace(n=2), LimitRegime.ZETA_INF)
-        with pytest.raises(DegenerateDenominator):
-            limit_equilibria(fig1.replace(d=0.4), LimitRegime.GAMMA_ZERO)
-        with pytest.raises(ValueError, match="unknown limit regime 'zeta_inf'"):
-            limit_equilibria(fig1, "zeta_inf")
+        assert eq.p_star.s == pytest.approx(0.4, abs=1e-8)
+        assert eq.p_star.c[0] == pytest.approx(0.4 - 1.0 / 60.0, abs=1e-8)
+        assert eq.star_admissible and not eq.dagger_admissible
 
 
 class TestCriticalZeta:

@@ -20,10 +20,9 @@ from advisorgame import (
     customer_utility,
     social_welfare,
     social_welfare_gradient,
-    total_utility,
 )
 
-from conftest import draw_domain_point, draw_params
+from conftest import draw_domain_point, draw_params, total_utility
 
 
 def F(x):
@@ -67,14 +66,6 @@ class TestParams:
     def test_replace_keeps_other_fields(self, fig1):
         p = fig1.replace(zeta=5.0)
         assert p.zeta == 5.0 and p.alpha == fig1.alpha
-
-    def test_profile_membership(self):
-        assert OpinionProfile(c=(0.2, 0.3), s=0.5).in_domain(0.1)
-        assert not OpinionProfile(c=(0.05,), s=0.5).in_domain(0.1)
-        assert not OpinionProfile(c=(0.6,), s=0.5).in_domain(0.1)
-        assert not OpinionProfile(c=(0.5,), s=1.2).in_domain(0.1)
-        # Membership never clamps: the offending coordinate is preserved.
-        assert OpinionProfile(c=(0.05,), s=0.5).c == (0.05,)
 
 
 class TestAdvisorUtility:

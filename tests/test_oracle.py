@@ -27,12 +27,11 @@ from advisorgame import (
     maximize_welfare,
     nash_equilibria,
     perturbation_check,
-    total_utility,
 )
 from advisorgame import oracle
 from advisorgame.oracle import _axis, _cells, _column_tops, _one_coordinate_terms
 
-from conftest import draw_domain_point, draw_params
+from conftest import draw_domain_point, draw_params, total_utility
 
 
 def _hetero_like(p, n=2):
@@ -730,8 +729,8 @@ class TestPerturbationMatchesScalarLoop:
             eq = nash_equilibria(p)
             profiles = [draw_domain_point(rng, p, margin=1e-3)]
             profiles += [
-                q for q in (eq.p_star, eq.p_dagger)
-                if q is not None and q.in_domain(p.d) and q.s - p.d > 1e-9
+                q for q, admissible in ((eq.p_star, eq.star_admissible), (eq.p_dagger, eq.dagger_admissible))
+                if admissible and q.s - p.d > 1e-9
             ]
             for q in profiles:
                 for seed in (k, k + 1):

@@ -13,30 +13,26 @@ from advisorgame import (
     EPS_DEN,
     DegenerateDenominator,
     GridSpec,
-    MissingEquilibrium,
     ModelParams,
     NumericalContractError,
     OpinionProfile,
     PosFlag,
-    boundary_membership,
+    advisor_utility,
     classify_quartic,
     customer_utility,
     grid_max_welfare,
     lipschitz_bound,
     maximize_welfare,
     nash_equilibria,
-    quartic_coefficients,
     social_welfare,
     social_welfare_gradient,
     solve_quartic,
-    total_utility,
-    utilities_at_equilibria,
 )
 
 from advisorgame.batch import ParamBatch, RowErrors
 from advisorgame.welfare import LOCATIONS, root_arrays, welfare_arrays
 
-from conftest import draw_params
+from conftest import draw_params, quartic_coefficients, total_utility
 
 # Points where a face vertex is clamped to an end of its face, the corner
 # d = 1 and the equal-returns case, as overrides of the fig1 configuration.
@@ -213,17 +209,6 @@ class TestClassifyQuartic:
         assert float(exact_min) < 1.0
 
 
-class TestBoundary:
-    def test_faces_and_interior(self, fig1):
-        assert boundary_membership(fig1, OpinionProfile.uniform(0.1, 0.5, 1))
-        assert boundary_membership(fig1, OpinionProfile.uniform(0.3, 0.3, 1))
-        assert not boundary_membership(fig1, OpinionProfile.uniform(0.2, 0.5, 1))
-
-    def test_top_face_and_outside_points(self, fig1):
-        assert boundary_membership(fig1, OpinionProfile.uniform(0.5, 1.0, 1))
-        assert not boundary_membership(fig1, OpinionProfile.uniform(0.05, 0.5, 1))
-
-
 class TestMaximizeWelfare:
     def test_reference_configuration_against_grid(self, fig1):
         report = maximize_welfare(fig1)
@@ -362,15 +347,30 @@ class TestMaximizeWelfare:
                "<PosFlag.NO_EQUILIBRIA: 'NoEquilibria'>)" in outputs[0]
 
 
+def _payoffs_at_root(p, root):
+    """The closed-form advisor and per-customer payoffs at the equilibrium
+    whose stated opinion is the quadratic root ``root``."""
+    ratio = 0.0 if p.r_s == p.r_d else (p.r_s - p.r_d) / (root - p.d)
+    u_cl = p.r_s + ratio**2 / (4.0 * p.zeta)
+    u_a = (
+        -p.alpha * (root - p.x) ** 2
+        - p.beta * p.n * (p.w - ratio / (2.0 * p.zeta) - root) ** 2
+        - p.gamma * p.n * ratio**2 / (4.0 * p.zeta**2)
+    )
+    return u_a, u_cl
+
+
 class TestEquilibriumUtilities:
+    # The payoffs at an equilibrium are the utilities of the model at the
+    # profile; these tests check them against the closed forms.
     def test_equal_returns_customer_payoff(self, fig1):
         p = fig1.replace(r_s=0.3)
-        util = utilities_at_equilibria(p, nash_equilibria(p))
-        assert util.u_cl_star == pytest.approx(p.r_s, abs=1e-15)
+        q = nash_equilibria(p).p_star
+        assert customer_utility(p.customer(), q.c[0], q.s) == pytest.approx(p.r_s, abs=1e-15)
 
     def test_reference_customer_payoff(self, fig1):
-        util = utilities_at_equilibria(fig1, nash_equilibria(fig1))
-        assert util.u_cl_star == pytest.approx(0.2 + 0.00625, rel=1e-12)
+        q = nash_equilibria(fig1).p_star
+        assert customer_utility(fig1.customer(), q.c[0], q.s) == pytest.approx(0.2 + 0.00625, rel=1e-12)
 
     def test_closed_form_matches_direct_evaluation(self):
         rng = np.random.default_rng(53)
@@ -381,15 +381,10 @@ class TestEquilibriumUtilities:
             if eq.p_star is None or abs(eq.roots.a - p.d) <= 1e-6:
                 continue
             count += 1
-            util = utilities_at_equilibria(p, eq)
-            sl = p.customer()
-            direct_cl = customer_utility(sl, eq.p_star.c[0], eq.p_star.s)
-            assert util.u_cl_star == pytest.approx(direct_cl, rel=1e-10, abs=1e-10)
-
-    def test_missing_equilibria_raises(self, fig1):
-        p = fig1.replace(zeta=5.0)
-        with pytest.raises(MissingEquilibrium):
-            utilities_at_equilibria(p, nash_equilibria(p))
+            u_a, u_cl = _payoffs_at_root(p, eq.roots.a)
+            q = eq.p_star
+            assert customer_utility(p.customer(), q.c[0], q.s) == pytest.approx(u_cl, rel=1e-10, abs=1e-10)
+            assert advisor_utility(p, q) == pytest.approx(u_a, rel=1e-10, abs=1e-10)
 
 
 class TestPriceOfStability:
