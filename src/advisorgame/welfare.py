@@ -16,9 +16,16 @@ them on a batch of one. The welfare kernel needs only the quartic's
 roots; its classification invariants are computed by ``classify_quartic``
 alone, so an invariant that overflows fails only that call.
 
+The interior candidates are the quartic's real roots in (0, 1 - d],
+found by ``interior_root_arrays`` with +, -, * and / alone (no LAPACK
+call): each lies in a grid cell where the quartic changes sign and has
+one convexity, and Newton's method reaches it from that cell's Fourier
+end. ``root_arrays`` keeps the companion-matrix ``eigvals`` for
+``solve_quartic`` and ``classify_quartic`` only, which cross-check it.
+
 ``welfare_arrays`` holds every profile it evaluates as one (slot, row)
-array of all-equal profiles (c, s): slots 0-3 are the quartic's roots,
-4-6 the optima of the faces c = d, s = 1 and c = s, 7 and 8 the
+array of all-equal profiles (c, s): slots 0 and 1 are the quartic's
+roots, 2-4 the optima of the faces c = d, s = 1 and c = s, 5 and 6 the
 equilibria P* and P+. One expression gives the welfare of every slot,
 
     -alpha (s - x)^2 - beta n (w - c)^2 - (gamma + zeta) n (s - c)^2
@@ -26,7 +33,7 @@ equilibria P* and P+. One expression gives the welfare of every slot,
 
 whose last term is taken as 0 on the face c = d, as n (r_s - r_d) on the
 face c = s and as 0 on rows with r_s == r_d. The maximum is chosen among
-slots 0-6, and the PoS divides the welfare of slot 7 or 8 by it.
+slots 0-4, and the PoS divides the welfare of slot 5 or 6 by it.
 """
 
 from __future__ import annotations
@@ -204,6 +211,201 @@ def root_arrays(omega: np.ndarray, errors: RowErrors) -> np.ndarray:
     return roots
 
 
+def _check_coefficients(omega: np.ndarray, errors: RowErrors) -> np.ndarray:
+    """Rows with a tiny leading coefficient, a coefficient that is not
+    finite or a quotient omega_k / omega_4 that overflows fail, in that
+    order; returns the others."""
+    leading = np.abs(omega[:, 4])
+    # A finite leading coefficient and finite quotients make every
+    # coefficient finite.
+    solvable = (1e-300 < leading) & (leading < np.inf) & np.isfinite(omega[:, :4] / omega[:, 4:]).all(axis=1)
+    if np.count_nonzero(solvable) < len(omega):
+        errors.add(leading <= 1e-300, lambda i: DegenerateLeadingCoefficient(
+            f"leading coefficient {omega[i, 4].item()!r}"))
+        _check_finite(omega, errors)
+        errors.add(~solvable, lambda i: NumericalContractError(
+            f"the companion matrix of the quartic coefficients {tuple(omega[i].tolist())!r} overflows"))
+    return solvable
+
+
+# Newton steps allowed per root or minimum: from the Fourier side of a
+# root each step closes at least a quarter of the distance to it, and a
+# row of the benchmark pools takes at most a few.
+NEWTON_STEPS = 4000
+# Cells of the grid on each convexity piece of (0, top].
+GRID_CELLS = 16
+_U = np.arange(GRID_CELLS + 1) / GRID_CELLS
+# Grid point k is a * mid + b * top: k/G * mid on the concave piece and
+# (1 - u) * mid + u * top on the convex one, so that 0, mid and top are exact.
+_AT_MID = np.concatenate((_U, 1.0 - _U[1:]))
+_AT_TOP = np.concatenate((np.zeros(GRID_CELLS + 1), _U[1:]))
+
+
+def _descend(x, f_and_df):
+    """Newton's method from the points x, each a Fourier point of a root to
+    its left (NaN where there is none): there the iterates approach the
+    root monotonically and never pass it in exact arithmetic.
+    ``f_and_df(x)`` gives f and f' at x. An entry stops when a step would
+    not move it left, as happens once rounding makes it turn back or
+    vanish; it then stays where it is, so that where it stops does not
+    depend on the other entries. Returns the last points and f there."""
+    for _ in range(NEWTON_STEPS):
+        value, slope = f_and_df(x)
+        moved = x - value / slope
+        if not np.count_nonzero(moved < x):
+            return x, value
+        x = np.fmin(moved, x)
+    raise NumericalContractError(f"Newton's method did not converge in {NEWTON_STEPS} steps")
+
+
+def interior_root_arrays(omega: np.ndarray, top: np.ndarray, errors: RowErrors) -> np.ndarray:
+    """The real roots in (0, top] of every row's quartic
+    p(y) = w4 y^4 + w3 y^3 + w1 y + w0, for rows with w0 >= 0 < w4 as
+    ``coefficient_arrays`` gives them, from +, -, * and / alone.
+
+    Returns a (2, rows) array, NaN where a root is absent: p has at most
+    two positive roots (Descartes' rule of signs), and slot 0 holds the
+    smaller. As w2 = 0, p'' = 6 y (2 w4 y + w3) vanishes only at 0 and at
+    t = -w3 / (2 w4), so p is concave on (0, mid] and convex on
+    (mid, top], where mid is t clamped to [0, top]. Each piece is cut into
+    GRID_CELLS equal cells. A cell whose ends differ in sign holds exactly
+    one root, as a second one would make three, and p has one convexity on
+    it, so Newton's method approaches the root monotonically from any point
+    of the cell where p has the sign of p'' (a Fourier point). It starts
+    from the Fourier end of the cell, with the nearer of the tangents at
+    the two ends that cross zero inside the cell as its first step. Where p
+    vanishes at 0 or at mid, the sign just right of it is that of p'.
+
+    Both roots of the convex piece can lie in the one cell that holds the
+    minimum of p, with p positive at both ends. Unless the tangents at the
+    two ends meet above zero, Newton's method for p' (increasing and
+    convex there) finds the minimum c, and p(c) < 0 splits the cell into
+    two brackets. A minimum with 0 <= p(c) <= p''(c) / 2 *
+    (REAL_ROOT_IMAG_TOL * (1 + c))^2 counts as a double root at c: there
+    the roots c +- i sqrt(2 p(c) / p''(c)) are a near-real pair in the
+    sense of ``classify_quartic``.
+
+    The coefficients are checked as in ``root_arrays``; rows too large to
+    evaluate p'' on [0, top] are scaled by a power of two first, which
+    leaves the roots as they are.
+    """
+    roots = np.full((2, len(omega)), np.nan)
+    solvable = _check_coefficients(omega, errors)
+    if np.count_nonzero(solvable) < len(omega):
+        rows = np.flatnonzero(solvable)
+        roots[:, rows] = interior_root_arrays(omega[rows], top[rows], RowErrors())
+        return roots
+    # On [0, top], top <= 1 + 1e-15, |p| <= sum |w_k| and |p''| <= 12 sum |w_k|.
+    large = np.abs(omega).sum(axis=1) > 2.0**1016
+    if np.count_nonzero(large):
+        omega = np.where(large[:, None], omega * 2.0**-16, omega)
+    G = GRID_CELLS
+    # One row of 2 G + 1 grid points per quartic; the coefficients as columns.
+    w0, w1, _, w3, w4 = omega.T[:, :, None]
+    t = -0.5 * w3 / w4
+    mid = np.minimum(np.maximum(t, 0.0), top[:, None])
+    y = mid * _AT_MID + top[:, None] * _AT_TOP
+    y2, lead = y * y, w4 * y
+    p = ((lead + w3) * y2 + w1) * y + w0
+    dp = (4.0 * lead + 3.0 * w3) * y2 + w1
+    sign = np.sign(p)
+    left = sign[:, 0:G + 1:G]
+    if not left.all():
+        # Where p vanishes at 0 or at mid, a root there belongs to the cell on
+        # its left; a piece of no length has no cell.
+        left[...] = np.where(left == 0.0, np.sign(dp[:, 0:G + 1:G]), left)
+        sign[:, :G] = np.where(mid > 0.0, sign[:, :G], sign[:, G:G + 1])
+        sign[:, G + 1:] = np.where(mid < top[:, None], sign[:, G + 1:], sign[:, G:G + 1])
+    root = (sign[:, :-1] != 0.0) & (sign[:, 1:] != sign[:, :-1])
+    # A convex cell where p is positive at both ends, falls at the left one
+    # and rises at the right one holds the minimum of the convex piece.
+    dip = (dp[:, G:-1] < 0.0) & (dp[:, G + 1:] > 0.0) & (sign[:, G:-1] > 0.0) & (sign[:, G + 1:] > 0.0)
+    if not np.count_nonzero(root) and not np.count_nonzero(dip):
+        return roots
+    y, p, dp = y.ravel(), p.ravel(), dp.ravel()
+
+    def cells(k, row, at):
+        """The rows ``row`` and the grid values at both ends of the cells
+        that start at grid points ``at``."""
+        return (row, *(array[end] for array in (y, p, dp) for end in (at, at + 1)))
+
+    k = np.flatnonzero(root)
+    row = k // (2 * G)
+    row, lo, hi, p_lo, p_hi, dp_lo, dp_hi = cells(k, row, k + row)
+    # The Fourier end is the right one on the concave piece, where p falls
+    # through zero, and on the convex piece the one where p >= 0. The search
+    # starts at the nearer of the zeros of the tangents at the two ends
+    # that lie on that side of the root, inside the cell.
+    leftward = (k - row * (2 * G) < G) | (p_hi >= 0.0)
+    from_lo, from_hi = lo - p_lo / dp_lo, hi - p_hi / dp_hi
+    start = np.where(leftward, np.fmin(from_hi, np.where(from_lo >= lo, from_lo, np.nan)),
+                     np.fmax(from_lo, np.where(from_hi <= hi, from_hi, np.nan)))
+    slot = np.zeros(len(row), dtype=np.intp)
+    slot[1:] = row[1:] == row[:-1]
+    double_rows = double_at = None
+    if np.count_nonzero(dip):
+        k = np.flatnonzero(dip)
+        drow = k // G
+        drow, a, b, p_a, p_b, dp_a, dp_b = cells(k, drow, k + drow * (G + 1) + G)
+        d3, d4 = omega[drow, 3], omega[drow, 4]
+        # p lies above the tangents at a and at b, which meet at a + u; a
+        # meeting point clear of zero and of the double-root bound leaves
+        # no root.
+        u = (p_b - p_a - dp_b * (b - a)) / (dp_a - dp_b)
+        fall = dp_a * u
+        d2p_b = (12.0 * d4 * b + 6.0 * d3) * b
+        near_zero = ~(p_a + fall > 2.0 * REAL_ROOT_IMAG_TOL**2 * d2p_b + 1e-14 * (p_a - fall))
+        if np.count_nonzero(near_zero):
+            drow, a, b, p_a, p_b, dp_a, dp_b, d2p_b = (
+                v[near_zero] for v in (drow, a, b, p_a, p_b, dp_a, dp_b, d2p_b))
+            d0, d1, _, d3, d4 = omega[drow].T
+
+            def dp_and_d2p(x):
+                x2, lead = x * x, 4.0 * d4 * x
+                return (lead + 3.0 * d3) * x2 + d1, (3.0 * lead + 6.0 * d3) * x
+
+            # p' is increasing and convex here: b is a Fourier point, and so
+            # is the zero of its tangent at a when that lies in the cell.
+            from_a = a - dp_a / ((12.0 * d4 * a + 6.0 * d3) * a)
+            c = _descend(np.fmin(b, np.where(from_a >= a, from_a, np.nan)), dp_and_d2p)[0]
+            c2 = c * c
+            p_c = ((d4 * c + d3) * c2 + d1) * c + d0
+            crossing = p_c < 0.0
+            double = ~crossing & (p_c <= 0.5 * REAL_ROOT_IMAG_TOL**2 * (12.0 * d4 * c + 6.0 * d3) * c
+                                  * np.square(1.0 + c))
+            double_rows, double_at = drow[double], c[double]
+            if np.count_nonzero(crossing):
+                # A root on each side of c, from the tangents at a and at b.
+                k = np.flatnonzero(crossing)
+                row = np.concatenate((row, drow[k], drow[k]))
+                slot = np.concatenate((slot, np.repeat([0, 1], len(k))))
+                leftward = np.concatenate((leftward, np.zeros(len(k), dtype=bool), np.ones(len(k), dtype=bool)))
+                start = np.concatenate((start, a[k] - p_a[k] / dp_a[k], b[k] - p_b[k] / dp_b[k]))
+    if len(row):
+        # A search that moves right runs on p(-y), whose iterates are
+        # exactly the negated ones.
+        direction = np.where(leftward, 1.0, -1.0)
+        r0, r1, _, r3, r4 = omega[row].T
+        r1, r3 = direction * r1, direction * r3
+        r3_3 = 3.0 * r3
+
+        def p(x):
+            return ((r4 * x + r3) * x * x + r1) * x + r0
+
+        def p_and_dp(x):
+            x2, lead = x * x, r4 * x
+            return ((lead + r3) * x2 + r1) * x + r0, (4.0 * lead + r3_3) * x2 + r1
+
+        x, value = _descend(direction * start, p_and_dp)
+        # The last step may pass the root by less than an ulp; the point an
+        # ulp back, on the Fourier side, is kept where |p| is smaller there.
+        back = np.nextafter(x, np.inf)
+        roots[slot, row] = direction * np.where(np.abs(p(back)) < np.abs(value), back, x)
+    if double_rows is not None:
+        roots[:, double_rows] = double_at
+    return roots
+
+
 def _coefficient_row(omega) -> np.ndarray:
     return np.array([[float(v) for v in omega]])
 
@@ -341,40 +543,38 @@ def welfare_arrays(P: ParamBatch, errors: RowErrors) -> WelfareArrays:
     of an admissible equilibrium is not finite, or when the latter exceeds
     the maximum by more than EQUILIBRIUM_WELFARE_TOL * max(1, |welfare|).
     """
-    roots = root_arrays(coefficient_arrays(P), errors).T
+    y = interior_root_arrays(coefficient_arrays(P), 1.0 - P.d + 1e-15, errors)
     gz = P.gamma + P.zeta
     gzn, bn = gz * P.n, P.beta * P.n
 
-    # Slots 0-3: the quartic roots, each with its stationary customer.
-    y = roots.real
+    # Slots 0 and 1: the quartic's roots, each with its stationary customer.
     s_root = P.d + y
     c_root = _stationary_customer(P, s_root, _unless_equal(P, P.dr / (s_root - P.d), 0.0))
-    interior = (_near_real(roots) & (EPS_DEN < y) & (y <= 1.0 - P.d + 1e-15)
-                & (P.d < c_root) & (c_root < s_root))
+    interior = (EPS_DEN < y) & (P.d < c_root) & (c_root < s_root)
     s_root = where_min(s_root, 1.0)
     if np.count_nonzero(interior):
         singular = _unless_equal(P, interior, False) & (np.abs(s_root - P.d) <= EPS_DEN)
         errors.add(singular.any(axis=0), lambda i: DegenerateDenominator(
             f"s = {s_root[np.argmax(singular[:, i]), i].item()} is within {EPS_DEN} of d = {P.d[i].item()}"))
 
-    # Slot 4, face c = d; slot 5, face s = 1 (skipped when the domain
-    # collapses to the corner d = 1); slot 6, face c = s.
+    # Slot 2, face c = d; slot 3, face s = 1 (skipped when the domain
+    # collapses to the corner d = 1); slot 4, face c = s.
     s_cd = where_min(where_max((P.alpha * P.x + gzn * P.d) / (P.alpha + gzn), P.d), 1.0)
     slope = _unless_equal(P, P.dr / (1.0 - P.d), 0.0)
     c_top = where_min(where_max(_stationary_customer(P, 1.0, slope), P.d), 1.0)
     lo = _unless_equal(P, where_min(P.d + 1e-9, 1.0), P.d)
     s_cs = where_min(where_max((P.alpha * P.x + bn * P.w) / (P.alpha + bn), lo), 1.0)
 
-    # Slots 7 and 8: the equilibria P* and P+.
+    # Slots 5 and 6: the equilibria P* and P+.
     eq = equilibrium_arrays(P, errors)
-    c, s = np.empty((2, 9, len(P)))
-    c[:4], c[4], c[5], c[6], c[7:] = c_root, P.d, c_top, s_cs, eq.c
-    s[:4], s[4], s[5], s[6], s[7:] = s_root, s_cd, 1.0, s_cs, eq.roots
+    c, s = np.empty((2, 7, len(P)))
+    c[:2], c[2], c[3], c[4], c[5:] = c_root, P.d, c_top, s_cs, eq.c
+    s[:2], s[2], s[3], s[4], s[5:] = s_root, s_cd, 1.0, s_cs, eq.roots
     # The interpolation term n (c - d) (r_s - r_d) / (s - d) is set exactly
     # on the faces: 0 on c = d, where s may equal d, and n (r_s - r_d) on
     # c = s.
     ret = P.dr / (s - P.d) * P.n * (c - P.d)
-    ret[4], ret[6] = 0.0, P.n * P.dr
+    ret[2], ret[4] = 0.0, P.n * P.dr
     value = (
         -P.alpha * np.square(s - P.x)
         - bn * np.square(P.w - c)
@@ -384,20 +584,20 @@ def welfare_arrays(P: ParamBatch, errors: RowErrors) -> WelfareArrays:
     )
 
     star_geo, dagger_geo = eq.geometric
-    present = np.ones((9, len(P)), dtype=bool)
-    present[:4], present[5], present[7:] = interior, 1.0 - P.d > EPS_DEN, eq.geometric
+    present = np.ones((7, len(P)), dtype=bool)
+    present[:2], present[3], present[5:] = interior, 1.0 - P.d > EPS_DEN, eq.geometric
     broken = present & ~np.isfinite(value)
 
     def not_finite(i):
         j = int(np.argmax(broken[:, i]))
-        name = ("P*", "P+")[j - 7] if j >= 7 else LOCATIONS[max(j - 3, 0)]
+        name = ("P*", "P+")[j - 5] if j >= 5 else LOCATIONS[max(j - 1, 0)]
         return NumericalContractError(f"welfare {value[j, i].item()!r} at {name} is not finite")
 
     errors.add(broken.any(axis=0), not_finite)
     cols = np.arange(len(P))
-    winner = np.argmax(np.where(present[:7], value[:7], -np.inf), axis=0)
+    winner = np.argmax(np.where(present[:5], value[:5], -np.inf), axis=0)
     sw_max = value[winner, cols]
-    sw_at_star, sw_at_dagger = value[7:]
+    sw_at_star, sw_at_dagger = value[5:]
 
     negative = sw_max < 0.0
     flags = np.array([negative, ~star_geo & ~dagger_geo, ~negative & (np.abs(sw_max) <= POS_TIE_TOL)])
@@ -413,7 +613,7 @@ def welfare_arrays(P: ParamBatch, errors: RowErrors) -> WelfareArrays:
         pos = np.where(flags.any(axis=0), np.nan, best / sw_max)
     return WelfareArrays(
         sw_max=sw_max,
-        location=np.maximum(winner - 3, 0),
+        location=np.maximum(winner - 1, 0),
         arg_c=c[winner, cols],
         arg_s=s[winner, cols],
         sw_at_star=sw_at_star,
