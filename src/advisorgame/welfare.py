@@ -17,11 +17,10 @@ roots; its classification invariants are computed by ``classify_quartic``
 alone, so an invariant that overflows fails only that call.
 
 The interior candidates are the quartic's real roots in (0, 1 - d],
-found by ``interior_root_arrays`` with +, -, * and / alone (no LAPACK
-call): each lies in a grid cell where the quartic changes sign and has
-one convexity, and Newton's method reaches it from that cell's Fourier
-end. ``root_arrays`` keeps the companion-matrix ``eigvals`` for
-``solve_quartic`` and ``classify_quartic`` only, which cross-check it.
+found by ``quartic.interior_root_arrays`` with +, -, * and / alone (no
+LAPACK call). ``solve_quartic`` and ``classify_quartic`` give all four
+complex roots from ``quartic.root_arrays``, the companion matrix and
+``eigvals``, which cross-check them.
 
 ``welfare_arrays`` holds every profile it evaluates as one (slot, row)
 array of all-equal profiles (c, s): slots 0 and 1 are the quartic's
@@ -45,16 +44,11 @@ from typing import NamedTuple, Optional, Tuple
 import numpy as np
 
 from .batch import ParamBatch, RowErrors, one_row, where_max, where_min
-from .errors import (
-    DegenerateDenominator,
-    DegenerateLeadingCoefficient,
-    NumericalContractError,
-)
+from .errors import DegenerateDenominator, NumericalContractError
 from .params import EPS_DEN, ModelParams, OpinionProfile
 from .equilibria import EquilibriumArrays, EquilibriumPair, equilibrium_arrays
+from .quartic import REAL_ROOT_IMAG_TOL, check_finite, interior_root_arrays, near_real, root_arrays
 
-QUARTIC_RESIDUAL_TOL = 1e-8
-REAL_ROOT_IMAG_TOL = 1e-9
 EQUILIBRIUM_WELFARE_TOL = 1e-9
 POS_TIE_TOL = 1e-12
 
@@ -114,298 +108,6 @@ def coefficient_arrays(P: ParamBatch) -> np.ndarray:
     return omega
 
 
-def _check_finite(omega: np.ndarray, errors: RowErrors) -> np.ndarray:
-    """Rows whose coefficients are not all finite fail; returns the others."""
-    finite = np.isfinite(omega).all(axis=1)
-    errors.add(~finite, lambda i: NumericalContractError(
-        f"quartic coefficients {tuple(omega[i].tolist())!r} are not finite"))
-    return finite
-
-
-def _near_real(roots: np.ndarray) -> np.ndarray:
-    return np.abs(roots.imag) <= REAL_ROOT_IMAG_TOL * (1.0 + np.abs(roots.real))
-
-
-def root_arrays(omega: np.ndarray, errors: RowErrors) -> np.ndarray:
-    """All four complex roots of every row's quartic, with multiplicity.
-
-    Roots come from companion matrices, as ``np.roots`` builds them
-    (trailing zero coefficients are dropped and give zero roots), with one
-    batched ``eigvals`` per matrix size; near-real roots are polished with
-    up to four Newton steps on the real axis, each kept only when it does
-    not raise |p| or lands within 1e-8 * sum|omega_i|. The residual
-    contract is |p(root)| <= 1e-8 * sum|omega_i| * max(1, |root|)^4; the
-    magnitude factor only matters for roots far outside the unit disc,
-    where bare evaluation round-off already exceeds the unscaled bound.
-    A row whose companion matrix has an entry that overflows fails.
-    """
-    leading = omega[:, 4]
-    tiny = np.abs(leading) <= 1e-300
-    # The first row of the size-4 companion matrix, -omega_3 / omega_4 down
-    # to -omega_0 / omega_4; a smaller matrix takes its first entries.
-    top = -omega[:, 3::-1] / omega[:, 4:]
-    solvable = ~tiny & np.isfinite(omega).all(axis=1) & np.isfinite(top).all(axis=1)
-    roots = np.empty((len(omega), 4), dtype=complex)
-    # Usually every row is solvable with no trailing zero coefficient, and
-    # one slice stands for all the rows of the one matrix size.
-    groups = [(0, slice(None))]
-    if np.count_nonzero(solvable & (omega[:, 0] != 0.0)) < len(omega):
-        # A row keeps its first error, so the last call adds only overflows.
-        errors.add(tiny, lambda i: DegenerateLeadingCoefficient(f"leading coefficient {leading[i].item()!r}"))
-        _check_finite(omega, errors)
-        errors.add(~solvable, lambda i: NumericalContractError(
-            f"the companion matrix of the quartic coefficients {tuple(omega[i].tolist())!r} overflows"))
-        roots[:] = np.nan
-        trailing = np.cumprod(omega[:, :4] == 0.0, axis=1).sum(axis=1)
-        groups = [(zeros, solvable & (trailing == zeros)) for zeros in sorted(set(trailing.tolist()))]
-    for zeros, rows in groups:
-        size = 4 - zeros
-        roots[rows, size:] = 0.0
-        block = top[rows, :size]
-        if size and len(block):
-            companion = np.zeros((len(block), size, size))
-            companion[:, 0, :] = block
-            below = np.arange(size - 1)
-            companion[:, below + 1, below] = 1.0
-            roots[rows, :size] = np.linalg.eigvals(companion)
-
-    w0, w1, w2, w3, w4 = omega.T[:, :, None]
-
-    def p(z):
-        return (((w4 * z + w3) * z + w2) * z + w1) * z + w0
-
-    floor = (QUARTIC_RESIDUAL_TOL * np.abs(omega).sum(axis=1))[:, None]
-    near = _near_real(roots)
-    if np.count_nonzero(near):
-        z = roots.real.copy()
-        value = p(z)
-        active = near.copy()
-        w4_4, w3_3, w2_2 = 4.0 * w4, 3.0 * w3, 2.0 * w2
-        for _ in range(4):
-            slope = ((w4_4 * z + w3_3) * z + w2_2) * z + w1
-            active &= slope != 0.0
-            step = value / slope
-            moved = z - step
-            trial = p(moved)
-            # A step that raises |p| is kept only inside the contract, so
-            # Newton cannot leave a tiny root for a distant non-root.
-            active &= (np.abs(trial) <= np.abs(value)) | (np.abs(trial) <= floor)
-            z = np.where(active, moved, z)
-            value = np.where(active, trial, value)
-            active &= ~(np.abs(step) <= 1e-16 * (1.0 + np.abs(z)))
-            if not np.count_nonzero(active):
-                break
-        roots.real[near] = z[near]
-        roots.imag[near] = 0.0
-
-    residual = np.abs(p(roots))
-    tol = floor * np.square(np.square(np.maximum(np.abs(roots), 1.0)))
-    bad = solvable[:, None] & (residual > tol)
-
-    def violation(i):
-        j = int(np.argmax(bad[i]))
-        return NumericalContractError(
-            f"quartic residual at root {roots[i, j].item()!r} exceeds {tol[i, j].item()!r}")
-
-    errors.add(bad.any(axis=1), violation)
-    return roots
-
-
-def _check_coefficients(omega: np.ndarray, errors: RowErrors) -> np.ndarray:
-    """Rows with a tiny leading coefficient, a coefficient that is not
-    finite or a quotient omega_k / omega_4 that overflows fail, in that
-    order; returns the others."""
-    leading = np.abs(omega[:, 4])
-    # A finite leading coefficient and finite quotients make every
-    # coefficient finite.
-    solvable = (1e-300 < leading) & (leading < np.inf) & np.isfinite(omega[:, :4] / omega[:, 4:]).all(axis=1)
-    if np.count_nonzero(solvable) < len(omega):
-        errors.add(leading <= 1e-300, lambda i: DegenerateLeadingCoefficient(
-            f"leading coefficient {omega[i, 4].item()!r}"))
-        _check_finite(omega, errors)
-        errors.add(~solvable, lambda i: NumericalContractError(
-            f"the companion matrix of the quartic coefficients {tuple(omega[i].tolist())!r} overflows"))
-    return solvable
-
-
-# Newton steps allowed per root or minimum: from the Fourier side of a
-# root each step closes at least a quarter of the distance to it, and a
-# row of the benchmark pools takes at most a few.
-NEWTON_STEPS = 4000
-# Cells of the grid on each convexity piece of (0, top].
-GRID_CELLS = 16
-_U = np.arange(GRID_CELLS + 1) / GRID_CELLS
-# Grid point k is a * mid + b * top: k/G * mid on the concave piece and
-# (1 - u) * mid + u * top on the convex one, so that 0, mid and top are exact.
-_AT_MID = np.concatenate((_U, 1.0 - _U[1:]))
-_AT_TOP = np.concatenate((np.zeros(GRID_CELLS + 1), _U[1:]))
-
-
-def _descend(x, f_and_df):
-    """Newton's method from the points x, each a Fourier point of a root to
-    its left (NaN where there is none): there the iterates approach the
-    root monotonically and never pass it in exact arithmetic.
-    ``f_and_df(x)`` gives f and f' at x. An entry stops when a step would
-    not move it left, as happens once rounding makes it turn back or
-    vanish; it then stays where it is, so that where it stops does not
-    depend on the other entries. Returns the last points and f there."""
-    for _ in range(NEWTON_STEPS):
-        value, slope = f_and_df(x)
-        moved = x - value / slope
-        if not np.count_nonzero(moved < x):
-            return x, value
-        x = np.fmin(moved, x)
-    raise NumericalContractError(f"Newton's method did not converge in {NEWTON_STEPS} steps")
-
-
-def interior_root_arrays(omega: np.ndarray, top: np.ndarray, errors: RowErrors) -> np.ndarray:
-    """The real roots in (0, top] of every row's quartic
-    p(y) = w4 y^4 + w3 y^3 + w1 y + w0, for rows with w0 >= 0 < w4 as
-    ``coefficient_arrays`` gives them, from +, -, * and / alone.
-
-    Returns a (2, rows) array, NaN where a root is absent: p has at most
-    two positive roots (Descartes' rule of signs), and slot 0 holds the
-    smaller. As w2 = 0, p'' = 6 y (2 w4 y + w3) vanishes only at 0 and at
-    t = -w3 / (2 w4), so p is concave on (0, mid] and convex on
-    (mid, top], where mid is t clamped to [0, top]. Each piece is cut into
-    GRID_CELLS equal cells. A cell whose ends differ in sign holds exactly
-    one root, as a second one would make three, and p has one convexity on
-    it, so Newton's method approaches the root monotonically from any point
-    of the cell where p has the sign of p'' (a Fourier point). It starts
-    from the Fourier end of the cell, with the nearer of the tangents at
-    the two ends that cross zero inside the cell as its first step. Where p
-    vanishes at 0 or at mid, the sign just right of it is that of p'.
-
-    Both roots of the convex piece can lie in the one cell that holds the
-    minimum of p, with p positive at both ends. Unless the tangents at the
-    two ends meet above zero, Newton's method for p' (increasing and
-    convex there) finds the minimum c, and p(c) < 0 splits the cell into
-    two brackets. A minimum with 0 <= p(c) <= p''(c) / 2 *
-    (REAL_ROOT_IMAG_TOL * (1 + c))^2 counts as a double root at c: there
-    the roots c +- i sqrt(2 p(c) / p''(c)) are a near-real pair in the
-    sense of ``classify_quartic``.
-
-    The coefficients are checked as in ``root_arrays``; rows too large to
-    evaluate p'' on [0, top] are scaled by a power of two first, which
-    leaves the roots as they are.
-    """
-    roots = np.full((2, len(omega)), np.nan)
-    solvable = _check_coefficients(omega, errors)
-    if np.count_nonzero(solvable) < len(omega):
-        rows = np.flatnonzero(solvable)
-        roots[:, rows] = interior_root_arrays(omega[rows], top[rows], RowErrors())
-        return roots
-    # On [0, top], top <= 1 + 1e-15, |p| <= sum |w_k| and |p''| <= 12 sum |w_k|.
-    large = np.abs(omega).sum(axis=1) > 2.0**1016
-    if np.count_nonzero(large):
-        omega = np.where(large[:, None], omega * 2.0**-16, omega)
-    G = GRID_CELLS
-    # One row of 2 G + 1 grid points per quartic; the coefficients as columns.
-    w0, w1, _, w3, w4 = omega.T[:, :, None]
-    t = -0.5 * w3 / w4
-    mid = np.minimum(np.maximum(t, 0.0), top[:, None])
-    y = mid * _AT_MID + top[:, None] * _AT_TOP
-    y2, lead = y * y, w4 * y
-    p = ((lead + w3) * y2 + w1) * y + w0
-    dp = (4.0 * lead + 3.0 * w3) * y2 + w1
-    sign = np.sign(p)
-    left = sign[:, 0:G + 1:G]
-    if not left.all():
-        # Where p vanishes at 0 or at mid, a root there belongs to the cell on
-        # its left; a piece of no length has no cell.
-        left[...] = np.where(left == 0.0, np.sign(dp[:, 0:G + 1:G]), left)
-        sign[:, :G] = np.where(mid > 0.0, sign[:, :G], sign[:, G:G + 1])
-        sign[:, G + 1:] = np.where(mid < top[:, None], sign[:, G + 1:], sign[:, G:G + 1])
-    root = (sign[:, :-1] != 0.0) & (sign[:, 1:] != sign[:, :-1])
-    # A convex cell where p is positive at both ends, falls at the left one
-    # and rises at the right one holds the minimum of the convex piece.
-    dip = (dp[:, G:-1] < 0.0) & (dp[:, G + 1:] > 0.0) & (sign[:, G:-1] > 0.0) & (sign[:, G + 1:] > 0.0)
-    if not np.count_nonzero(root) and not np.count_nonzero(dip):
-        return roots
-    y, p, dp = y.ravel(), p.ravel(), dp.ravel()
-
-    def cells(k, row, at):
-        """The rows ``row`` and the grid values at both ends of the cells
-        that start at grid points ``at``."""
-        return (row, *(array[end] for array in (y, p, dp) for end in (at, at + 1)))
-
-    k = np.flatnonzero(root)
-    row = k // (2 * G)
-    row, lo, hi, p_lo, p_hi, dp_lo, dp_hi = cells(k, row, k + row)
-    # The Fourier end is the right one on the concave piece, where p falls
-    # through zero, and on the convex piece the one where p >= 0. The search
-    # starts at the nearer of the zeros of the tangents at the two ends
-    # that lie on that side of the root, inside the cell.
-    leftward = (k - row * (2 * G) < G) | (p_hi >= 0.0)
-    from_lo, from_hi = lo - p_lo / dp_lo, hi - p_hi / dp_hi
-    start = np.where(leftward, np.fmin(from_hi, np.where(from_lo >= lo, from_lo, np.nan)),
-                     np.fmax(from_lo, np.where(from_hi <= hi, from_hi, np.nan)))
-    slot = np.zeros(len(row), dtype=np.intp)
-    slot[1:] = row[1:] == row[:-1]
-    double_rows = double_at = None
-    if np.count_nonzero(dip):
-        k = np.flatnonzero(dip)
-        drow = k // G
-        drow, a, b, p_a, p_b, dp_a, dp_b = cells(k, drow, k + drow * (G + 1) + G)
-        d3, d4 = omega[drow, 3], omega[drow, 4]
-        # p lies above the tangents at a and at b, which meet at a + u; a
-        # meeting point clear of zero and of the double-root bound leaves
-        # no root.
-        u = (p_b - p_a - dp_b * (b - a)) / (dp_a - dp_b)
-        fall = dp_a * u
-        d2p_b = (12.0 * d4 * b + 6.0 * d3) * b
-        near_zero = ~(p_a + fall > 2.0 * REAL_ROOT_IMAG_TOL**2 * d2p_b + 1e-14 * (p_a - fall))
-        if np.count_nonzero(near_zero):
-            drow, a, b, p_a, p_b, dp_a, dp_b, d2p_b = (
-                v[near_zero] for v in (drow, a, b, p_a, p_b, dp_a, dp_b, d2p_b))
-            d0, d1, _, d3, d4 = omega[drow].T
-
-            def dp_and_d2p(x):
-                x2, lead = x * x, 4.0 * d4 * x
-                return (lead + 3.0 * d3) * x2 + d1, (3.0 * lead + 6.0 * d3) * x
-
-            # p' is increasing and convex here: b is a Fourier point, and so
-            # is the zero of its tangent at a when that lies in the cell.
-            from_a = a - dp_a / ((12.0 * d4 * a + 6.0 * d3) * a)
-            c = _descend(np.fmin(b, np.where(from_a >= a, from_a, np.nan)), dp_and_d2p)[0]
-            c2 = c * c
-            p_c = ((d4 * c + d3) * c2 + d1) * c + d0
-            crossing = p_c < 0.0
-            double = ~crossing & (p_c <= 0.5 * REAL_ROOT_IMAG_TOL**2 * (12.0 * d4 * c + 6.0 * d3) * c
-                                  * np.square(1.0 + c))
-            double_rows, double_at = drow[double], c[double]
-            if np.count_nonzero(crossing):
-                # A root on each side of c, from the tangents at a and at b.
-                k = np.flatnonzero(crossing)
-                row = np.concatenate((row, drow[k], drow[k]))
-                slot = np.concatenate((slot, np.repeat([0, 1], len(k))))
-                leftward = np.concatenate((leftward, np.zeros(len(k), dtype=bool), np.ones(len(k), dtype=bool)))
-                start = np.concatenate((start, a[k] - p_a[k] / dp_a[k], b[k] - p_b[k] / dp_b[k]))
-    if len(row):
-        # A search that moves right runs on p(-y), whose iterates are
-        # exactly the negated ones.
-        direction = np.where(leftward, 1.0, -1.0)
-        r0, r1, _, r3, r4 = omega[row].T
-        r1, r3 = direction * r1, direction * r3
-        r3_3 = 3.0 * r3
-
-        def p(x):
-            return ((r4 * x + r3) * x * x + r1) * x + r0
-
-        def p_and_dp(x):
-            x2, lead = x * x, r4 * x
-            return ((lead + r3) * x2 + r1) * x + r0, (4.0 * lead + r3_3) * x2 + r1
-
-        x, value = _descend(direction * start, p_and_dp)
-        # The last step may pass the root by less than an ulp; the point an
-        # ulp back, on the Fourier side, is kept where |p| is smaller there.
-        back = np.nextafter(x, np.inf)
-        roots[slot, row] = direction * np.where(np.abs(p(back)) < np.abs(value), back, x)
-    if double_rows is not None:
-        roots[:, double_rows] = double_at
-    return roots
-
-
 def _coefficient_row(omega) -> np.ndarray:
     return np.array([[float(v) for v in omega]])
 
@@ -442,7 +144,7 @@ def classify_quartic(omega) -> QuarticAnalysis:
     """
 
     def kernel(row, errors):
-        _check_finite(row, errors)
+        check_finite(row, errors)
         w0, w1, _w2, w3, w4 = row.T
         squares = np.square(row.T[[0, 1, 3, 4]])
         w0_2, w1_2, w3_2, w4_2 = squares
@@ -475,7 +177,7 @@ def classify_quartic(omega) -> QuarticAnalysis:
         p_big=p_big,
         r_big=r_big,
         roots=tuple(roots),
-        all_nonreal=not _near_real(roots).any(),
+        all_nonreal=not near_real(roots).any(),
         omega_member=(
             w4 - abs(w1) - abs(w3) + w0 > 0.0
             and 4.0 * w4 - abs(w1) - 3.0 * abs(w3) < 0.0

@@ -481,11 +481,11 @@ class TestSweep:
         assert path.read_text() == "an earlier sweep\n"
 
     def test_failure_in_a_later_block_follows_the_rows_before_it(self, capsys, config_path):
-        # Row 1049 is the first whose welfare maximum falls below the
+        # Row 1066 is the first whose welfare maximum falls below the
         # welfare of P*. The first block's 1024 rows are written as they
-        # are ready; the sweep then exits 2 with analyze's error at row 1049.
+        # are ready; the sweep then exits 2 with analyze's error at row 1066.
         values = np.linspace(0.05, 3.5e27, 2048).tolist()
-        assert main(["analyze", "--config", config_path, "--alpha", repr(values[1049])]) == 2
+        assert main(["analyze", "--config", config_path, "--alpha", repr(values[1066])]) == 2
         message = capsys.readouterr().err
         code = main(["sweep", "--config", config_path, "--param", "alpha", "--range", "0.05:3.5e27:2048"])
         captured = capsys.readouterr()
