@@ -357,6 +357,7 @@ def interior_root_arrays(omega: np.ndarray, top: np.ndarray, errors: RowErrors) 
                 slot = np.concatenate((slot, np.repeat([0, 1], len(k))))
                 leftward = np.concatenate((leftward, np.zeros(len(k), dtype=bool), np.ones(len(k), dtype=bool)))
                 start = np.concatenate((start, a[k] - p_a[k] / dp_a[k], b[k] - p_b[k] / dp_b[k]))
+    # The grids are no longer needed; a large block's Newton phase reuses their memory.
     del y, p, dp, sign, left
     if len(row):
         # A search that moves right runs on p(-y), whose iterates are
