@@ -1,6 +1,7 @@
 """The welfare kernel's interior roots: an exact sign-change certificate,
-agreement with the companion-matrix roots of ``solve_quartic``, row
-independence, and CLI output that needs no LAPACK call."""
+agreement with the companion-matrix roots of ``solve_quartic``, and CLI
+output that needs no LAPACK call. Their row independence is tested in
+``test_welfare.TestRowIndependence``."""
 
 import contextlib
 import io
@@ -97,33 +98,6 @@ def test_roots_match_the_companion_matrix(span):
                         if abs(r.imag) <= REAL_ROOT_IMAG_TOL * (1.0 + abs(r.real)) and EPS_DEN < r.real <= top[i])
         assert len(mine) == len(theirs), i
         assert np.allclose(mine, theirs, rtol=1e-12, atol=0.0), i
-
-
-def test_every_row_gives_its_result_alone():
-    P = _fuzz(3, count=200)
-    omega = np.vstack([coefficient_arrays(P), [
-        (1.0, -2.0, 0.0, 0.5, 1e-301),  # tiny leading coefficient
-        (1.0, np.inf, 0.0, 1.0, 2.0),  # not finite
-        (1e200, 0.0, 0.0, 1e200, 1e-200),  # overflowing quotient
-        (1e307, -4e307, 0.0, -1e307, 8e307),  # scaled before evaluation
-        (0.0, 0.0, 0.0, -1.0, 4.0),  # roots 0 and 1/4
-    ]])
-    top = np.append(1.0 - P.d + 1e-15, [1.0] * 5)
-    batch_errors = RowErrors()
-    with np.errstate(all="ignore"):
-        roots = interior_root_arrays(omega, top, batch_errors)
-    assert sorted(batch_errors.first) == [len(P), len(P) + 1, len(P) + 2]
-    # The batch's roots take the array path, each row's alone the float one.
-    assert np.isfinite(roots).sum() > 32
-    assert roots[0, -1] == 0.25 and np.isnan(roots[1, -1])
-    assert np.isfinite(roots[:, -2]).any()
-    for i in range(len(omega)):
-        errors = RowErrors()
-        with np.errstate(all="ignore"):
-            alone = interior_root_arrays(omega[i:i + 1], top[i:i + 1], errors)
-        assert {0: str(e) for e in errors.first.values()} == (
-            {0: str(batch_errors.first[i])} if i in batch_errors.first else {})
-        assert np.array_equal(alone[:, 0], roots[:, i], equal_nan=True), i
 
 
 def _run(argv):

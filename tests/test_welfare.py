@@ -30,9 +30,11 @@ from advisorgame import (
 )
 
 from advisorgame.batch import ParamBatch, RowErrors
-from advisorgame.welfare import LOCATIONS, root_arrays, welfare_arrays
+from advisorgame.quartic import interior_root_arrays
+from advisorgame.welfare import LOCATIONS, coefficient_arrays, root_arrays, welfare_arrays
 
 from conftest import draw_params, quartic_coefficients, total_utility
+from test_interior_roots import _fuzz
 
 # Points where a face vertex is clamped to an end of its face, the corner
 # d = 1 and the equal-returns case, as overrides of the fig1 configuration.
@@ -495,6 +497,31 @@ class TestRowIndependence:
             else:
                 assert not alone_errors
                 _assert_same(roots[i], alone[0], i)
+
+    def test_interior_roots(self):
+        P = _fuzz(3, count=200)
+        omega = np.vstack([coefficient_arrays(P), [
+            (1.0, -2.0, 0.0, 0.5, 1e-301),  # tiny leading coefficient
+            (1.0, np.inf, 0.0, 1.0, 2.0),  # not finite
+            (1e200, 0.0, 0.0, 1e200, 1e-200),  # overflowing quotient
+            (1e307, -4e307, 0.0, -1e307, 8e307),  # scaled before evaluation
+            (0.0, 0.0, 0.0, -1.0, 4.0),  # roots 0 and 1/4
+        ]])
+        top = np.append(1.0 - P.d + 1e-15, [1.0] * 5)
+
+        def kernel(rows):
+            return _kernel(lambda batch, errors: interior_root_arrays(batch, top[rows], errors), omega[rows])
+
+        roots, errors = kernel(slice(None))
+        assert sorted(errors) == [len(P), len(P) + 1, len(P) + 2]
+        # The batch's roots take the array path, each row's alone the float one.
+        assert np.isfinite(roots).sum() > 32
+        assert roots[0, -1] == 0.25 and np.isnan(roots[1, -1])
+        assert np.isfinite(roots[:, -2]).any()
+        for i in range(len(omega)):
+            alone, alone_errors = kernel(slice(i, i + 1))
+            assert alone_errors == ({0: errors[i]} if i in errors else {})
+            _assert_same(roots[:, i], alone[:, 0], i)
 
     def test_welfare_arrays(self, fig1):
         rng = np.random.default_rng(7)
