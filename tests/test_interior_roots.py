@@ -37,9 +37,9 @@ def _fuzz(span, count=700, seed=2027):
 
 
 def _golden_batch():
-    """The valid rows of the seeded r_s golden sweeps."""
+    """The valid rows of the 23 golden sweeps."""
     keys = ("d", "x", "w", "n", "alpha", "beta", "gamma", "zeta", "r_d", "r_s")
-    points = [dict(values, **{param: row["value"]}) for name in MANIFEST if name.startswith("r_s")
+    points = [dict(values, **{param: row["value"]}) for name in MANIFEST
               for values, param, rows in [_sweep(name)] for row in rows if not row["flags"].startswith("error")]
     return ParamBatch(*np.array([[float(p[k]) for k in keys] for p in points]).T)
 
