@@ -136,6 +136,13 @@ _AT_TOP = np.array([0.0] * (GRID_CELLS + 1) + _U[1:])
 _SPLIT = 2.0**27 + 1.0
 
 
+def _sign(v):
+    """np.sign(v), from the comparisons and ``where`` that the welfare
+    kernel runs anyway: the first call of a numpy loop that no other step
+    of a CLI command runs costs about 60 KB of resident memory."""
+    return np.where(v > 0.0, 1.0, np.where(v < 0.0, -1.0, 0.0))
+
+
 def _descend(x, f_and_df):
     """Newton's method from the points x, each a Fourier point of a root to
     its left (NaN where there is none): there the iterates approach the
@@ -284,12 +291,12 @@ def interior_root_arrays(omega: np.ndarray, top: np.ndarray, errors: RowErrors) 
     p *= y
     p += w0
     del y2
-    sign = np.sign(p)
+    sign = _sign(p)
     left = sign[:, 0:G + 1:G]
-    if not left.all():
+    if np.count_nonzero(left == 0.0):
         # Where p vanishes at 0 or at mid, a root there belongs to the cell on
         # its left; a piece of no length has no cell.
-        left[...] = np.where(left == 0.0, np.sign(dp[:, 0:G + 1:G]), left)
+        left[...] = np.where(left == 0.0, _sign(dp[:, 0:G + 1:G]), left)
         sign[:, :G] = np.where(mid > 0.0, sign[:, :G], sign[:, G:G + 1])
         sign[:, G + 1:] = np.where(mid < top[:, None], sign[:, G + 1:], sign[:, G:G + 1])
     root = (sign[:, :-1] != 0.0) & (sign[:, 1:] != sign[:, :-1])
@@ -300,29 +307,27 @@ def interior_root_arrays(omega: np.ndarray, top: np.ndarray, errors: RowErrors) 
         return roots
     y, p, dp = y.ravel(), p.ravel(), dp.ravel()
 
-    def cells(k, row, at):
-        """The rows ``row`` and the grid values at both ends of the cells
-        that start at grid points ``at``."""
-        return (row, *(array[end] for array in (y, p, dp) for end in (at, at + 1)))
+    def cells(row, cell):
+        """The grid values at both ends of cell ``cell`` of row ``row``."""
+        at = row * (2 * G + 1) + cell
+        return tuple(array[end] for array in (y, p, dp) for end in (at, at + 1))
 
-    k = np.flatnonzero(root)
-    row = k // (2 * G)
-    row, lo, hi, p_lo, p_hi, dp_lo, dp_hi = cells(k, row, k + row)
+    row, cell = np.nonzero(root)
+    lo, hi, p_lo, p_hi, dp_lo, dp_hi = cells(row, cell)
     # The Fourier end is the right one on the concave piece, where p falls
     # through zero, and on the convex piece the one where p >= 0. The search
     # starts at the nearer of the zeros of the tangents at the two ends
     # that lie on that side of the root, inside the cell.
-    leftward = (k - row * (2 * G) < G) | (p_hi >= 0.0)
+    leftward = (cell < G) | (p_hi >= 0.0)
     from_lo, from_hi = lo - p_lo / dp_lo, hi - p_hi / dp_hi
     start = np.where(leftward, np.fmin(from_hi, np.where(from_lo >= lo, from_lo, np.nan)),
                      np.fmax(from_lo, np.where(from_hi <= hi, from_hi, np.nan)))
-    slot = np.zeros(len(row), dtype=np.intp)
-    slot[1:] = row[1:] == row[:-1]
+    # Slot 1 holds a root whose row already has one.
+    slot = np.where(row == np.append(-1, row[:-1]), 1, 0)
     double_rows = double_at = None
     if np.count_nonzero(dip):
-        k = np.flatnonzero(dip)
-        drow = k // G
-        drow, a, b, p_a, p_b, dp_a, dp_b = cells(k, drow, k + drow * (G + 1) + G)
+        drow, cell = np.nonzero(dip)
+        a, b, p_a, p_b, dp_a, dp_b = cells(drow, cell + G)
         d3, d4 = omega[drow, 3], omega[drow, 4]
         # p lies above the tangents at a and at b, which meet at a + u; a
         # meeting point clear of zero and of the double-root bound leaves
