@@ -19,8 +19,8 @@ alone, so an invariant that overflows fails only that call.
 The interior candidates are the quartic's real roots in (0, 1 - d],
 found by ``quartic.interior_root_arrays`` with +, -, * and / alone (no
 LAPACK call). ``solve_quartic`` and ``classify_quartic`` give all four
-complex roots from ``quartic.root_arrays``, the companion matrix and
-``eigvals``, which cross-check them.
+complex roots from ``quartic.root_arrays`` (the companion matrix and
+``eigvals``); the tests cross-check the interior roots against them.
 
 ``welfare_arrays`` holds every profile it evaluates as one (slot, row)
 array of all-equal profiles (c, s): slots 0 and 1 are the quartic's
@@ -47,7 +47,8 @@ from .batch import ParamBatch, RowErrors, one_row, where_max, where_min
 from .errors import DegenerateDenominator, NumericalContractError
 from .params import EPS_DEN, ModelParams, OpinionProfile
 from .equilibria import EquilibriumArrays, EquilibriumPair, equilibrium_arrays
-from .quartic import REAL_ROOT_IMAG_TOL, check_finite, interior_root_arrays, near_real, root_arrays
+from .quartic import check_finite, interior_root_arrays, near_real, root_arrays
+from .quartic import REAL_ROOT_IMAG_TOL  # noqa: F401 (the near-real tolerance of classify_quartic)
 
 EQUILIBRIUM_WELFARE_TOL = 1e-9
 POS_TIE_TOL = 1e-12
