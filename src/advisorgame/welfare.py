@@ -48,7 +48,6 @@ from .errors import DegenerateDenominator, NumericalContractError
 from .params import EPS_DEN, ModelParams, OpinionProfile
 from .equilibria import EquilibriumArrays, EquilibriumPair, equilibrium_arrays
 from .quartic import check_finite, interior_root_arrays, near_real, root_arrays
-from .quartic import REAL_ROOT_IMAG_TOL  # noqa: F401 (the near-real tolerance of classify_quartic)
 
 EQUILIBRIUM_WELFARE_TOL = 1e-9
 POS_TIE_TOL = 1e-12

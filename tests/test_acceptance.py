@@ -24,7 +24,7 @@ from advisorgame import (
     social_welfare,
     social_welfare_gradient,
 )
-from advisorgame.welfare import REAL_ROOT_IMAG_TOL
+from advisorgame.quartic import REAL_ROOT_IMAG_TOL
 
 from conftest import draw_domain_point, draw_params
 

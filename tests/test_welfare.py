@@ -29,6 +29,7 @@ from advisorgame import (
     solve_quartic,
 )
 
+from advisorgame import quartic
 from advisorgame.batch import ParamBatch, RowErrors
 from advisorgame.quartic import interior_root_arrays
 from advisorgame.welfare import LOCATIONS, coefficient_arrays, root_arrays, welfare_arrays
@@ -514,14 +515,35 @@ class TestRowIndependence:
 
         roots, errors = kernel(slice(None))
         assert sorted(errors) == [len(P), len(P) + 1, len(P) + 2]
-        # The batch's roots take the array path, each row's alone the float one.
-        assert np.isfinite(roots).sum() > 32
         assert roots[0, -1] == 0.25 and np.isnan(roots[1, -1])
         assert np.isfinite(roots[:, -2]).any()
         for i in range(len(omega)):
             alone, alone_errors = kernel(slice(i, i + 1))
             assert alone_errors == ({0: errors[i]} if i in errors else {})
             _assert_same(roots[:, i], alone[:, 0], i)
+
+    def test_interior_roots_newton_failure(self, monkeypatch):
+        # With five Newton steps a search fails on some rows, minimum
+        # searches included; those rows fail alone as in the batch, and
+        # every other row keeps the roots it has with the full budget.
+        P = _fuzz(3, count=200)
+        omega, top = coefficient_arrays(P), 1.0 - P.d + 1e-15
+
+        def kernel(rows):
+            return _kernel(lambda batch, errors: interior_root_arrays(batch, top[rows], errors), omega[rows])
+
+        full, full_errors = kernel(slice(None))
+        monkeypatch.setattr(quartic, "NEWTON_STEPS", 5)
+        roots, errors = kernel(slice(None))
+        assert not full_errors and 10 < len(errors) < np.isfinite(full).any(axis=0).sum()
+        assert all(e.startswith("NumericalContractError: Newton's method did not converge in 5 steps")
+                   for e in errors.values())
+        for i in range(len(P)):
+            alone, alone_errors = kernel(slice(i, i + 1))
+            assert alone_errors == ({0: errors[i]} if i in errors else {})
+            _assert_same(roots[:, i], alone[:, 0], i)
+            if i not in errors:
+                _assert_same(roots[:, i], full[:, i], i)
 
     def test_welfare_arrays(self, fig1):
         rng = np.random.default_rng(7)
